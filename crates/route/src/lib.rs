@@ -16,9 +16,9 @@
 //! * [`learned`] — the middle estimator tier: a deterministic per-edge
 //!   linear regressor over per-gcell congestion features, trained offline
 //!   on this router's own overflow (`rdp train-estimator`);
-//! * [`maze`] — windowed A\* maze routing over reusable epoch-stamped
-//!   scratch, driving history-based negotiation (rip-up-and-reroute), the
-//!   full router used for scoring;
+//! * [`maze`] — A\* maze routing over reusable epoch-stamped scratch,
+//!   driving history-based negotiation (rip-up-and-reroute), the full
+//!   router used for scoring;
 //! * [`metrics`] — overflow and the contest's ACE(k%) / RC metrics;
 //! * [`heatmap`] — congestion maps as CSV or ASCII for the figures.
 //!

@@ -10,116 +10,61 @@
 //!   a worker routes.
 //! * **Frozen costs** ([`EdgeCosts`]): edge costs are snapshotted once per
 //!   negotiation round, so a heap relaxation is a single array load.
-//! * **Bounded windows**: the search runs inside the segment's bounding
-//!   box plus a margin. A cost certificate (below) proves when the
-//!   windowed result equals the unbounded one; when it cannot, the window
-//!   doubles and the search retries, degenerating to the full grid in
-//!   O(log grid) steps.
+//! * **Packed open-list keys**: a heap entry is the integer tuple
+//!   `(f bits, !g bits, state)`. `f` and `g` are finite and ≥ 0, so their
+//!   IEEE-754 bit patterns order exactly like the values, and the heap
+//!   compares plain integers instead of calling `total_cmp`.
 //!
 //! **Canonical paths.** Among equal-cost shortest paths the search returns
 //! a *canonical* one: cells keep relaxing until every queue entry is
 //! provably worse than the target's distance, and on exact cost ties the
 //! lexicographically smallest parent wins. The resulting parent array is a
-//! pure function of the cost field — independent of exploration order, of
-//! the thread count, *and of the window* (once the certificate holds):
+//! pure function of the cost field — independent of exploration order and
+//! of the thread count (pinned by `tests/determinism.rs`).
 //!
-//! * every edge cost is ≥ `min_cost` (asserted > 0 at snapshot build), so
-//!   any path that leaves the window `bbox + margin` must detour at least
-//!   `2·(margin+1)` extra edges and therefore costs at least
-//!   `min_cost · (manhattan + 2·(margin+1))`;
-//! * hence if the windowed search finds a path strictly cheaper than that
-//!   bound, **all** optimal paths (and all their cells and optimal
-//!   predecessors) lie strictly inside the window, the windowed distance
-//!   labels equal the unbounded ones on those cells, and the
-//!   lexicographic tie-break reconstructs the identical path.
-//!
-//! That equivalence is what lets `RouterConfig.window_margin` change
-//! wall-clock without changing a single bit of the routing outcome
-//! (pinned by `tests/windowed_equivalence.rs` and `tests/determinism.rs`).
+//! **No search window.** Every search spans the whole grid; the stop rule
+//! already keeps it local. The heuristic is Manhattan distance ×
+//! [`EdgeCosts::min_cost`], and the search stops at the first pop with
+//! `f > target_g`. A gcell `k` steps outside the segment's bounding box
+//! has `f ≥ min_cost · (manhattan + 2k)`, so it is only expanded when the
+//! optimal path costs at least that much. A bounding-box window could
+//! therefore save heap pushes but never an expansion, and would cost a
+//! repeated search whenever the optimal path leaves it.
 
 use crate::grid::{EdgeId, GCell, RouteGrid};
 use crate::pattern::{CostParams, EdgeCosts};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Conservative relative slack on the window-escape certificate: float
-/// summation of a path's edge costs can round below the mathematical
-/// product `min_cost · length` by a relative error of ~`length · ε`;
-/// 1e-7 covers paths of up to ~4·10⁸ edges, far beyond any grid here.
-const CERTIFICATE_SLACK: f64 = 1.0 - 1e-7;
+/// Open-list entry of the 2-D search: `(f bits, !g bits, cell)` under
+/// [`Reverse`], so the max-heap pops the smallest f first, then the
+/// largest g (deeper in the search), then the smallest cell — a fully
+/// deterministic order.
+type Key = Reverse<(u64, u64, GCell)>;
 
-#[derive(Debug)]
-struct HeapEntry {
-    f: f64,
-    g: f64,
-    cell: GCell,
+/// Open-list entry of the 3-D search: as [`Key`], with the flat state
+/// index `(layer·ny + y)·nx + x` in place of the cell.
+type Key3 = Reverse<(u64, u64, u32)>;
+
+/// Packs `(f, g, state)` into an open-list key. Valid because every f and
+/// g is finite and ≥ 0 (edge costs are asserted finite and positive at
+/// [`EdgeCosts`] construction): on that range `to_bits` is monotone, and
+/// `!` reverses it for g.
+#[inline]
+fn key<T>(f: f64, g: f64, state: T) -> Reverse<(u64, u64, T)> {
+    debug_assert!(f >= 0.0 && f.is_sign_positive(), "f = {f}");
+    debug_assert!(g >= 0.0 && g.is_sign_positive(), "g = {g}");
+    Reverse((f.to_bits(), !g.to_bits(), state))
 }
 
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on f via `total_cmp` (never maps incomparable floats to
-        // `Equal` — NaNs are rejected at `EdgeCosts` construction, and
-        // total order keeps the heap consistent even if one slipped
-        // through). Ties break on g (deeper-in-the-search first), then on
-        // cell, so pop order is fully deterministic.
-        other
-            .f
-            .total_cmp(&self.f)
-            .then_with(|| self.g.total_cmp(&other.g))
-            .then_with(|| other.cell.cmp(&self.cell))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// Unpacks a key into `(f, g, state)`.
+#[inline]
+fn unkey<T>(Reverse((f, g, state)): Reverse<(u64, u64, T)>) -> (f64, f64, T) {
+    (f64::from_bits(f), f64::from_bits(!g), state)
 }
 
 /// Sentinel parent index meaning "no parent recorded".
 const NO_PARENT: u32 = u32::MAX;
-
-#[derive(Debug)]
-struct HeapEntry3 {
-    f: f64,
-    g: f64,
-    /// Flat 3-D state index `(layer·ny + y)·nx + x`.
-    idx: u32,
-}
-
-impl PartialEq for HeapEntry3 {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for HeapEntry3 {}
-
-impl Ord for HeapEntry3 {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Same discipline as [`HeapEntry`]: min-f, then deeper g, then the
-        // smaller state index, so pop order is fully deterministic.
-        other
-            .f
-            .total_cmp(&self.f)
-            .then_with(|| self.g.total_cmp(&other.g))
-            .then_with(|| other.idx.cmp(&self.idx))
-    }
-}
-
-impl PartialOrd for HeapEntry3 {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// Reusable A\* working memory: epoch-stamped per-state labels plus the
 /// open-list heaps (one for 2-D searches, one for 3-D).
@@ -135,8 +80,8 @@ pub struct MazeScratch {
     parent: Vec<u32>,
     stamp: Vec<u32>,
     epoch: u32,
-    heap: BinaryHeap<HeapEntry>,
-    heap3: BinaryHeap<HeapEntry3>,
+    heap: BinaryHeap<Key>,
+    heap3: BinaryHeap<Key3>,
 }
 
 impl MazeScratch {
@@ -195,54 +140,20 @@ impl MazeScratch {
     }
 }
 
-/// An inclusive rectangular search window in gcell coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Window {
-    x0: u32,
-    x1: u32,
-    y0: u32,
-    y1: u32,
-}
-
-impl Window {
-    fn full(grid: &RouteGrid) -> Self {
-        Window { x0: 0, x1: grid.nx() - 1, y0: 0, y1: grid.ny() - 1 }
-    }
-
-    /// The bounding box of `from`/`to` expanded by `margin`, clipped to
-    /// the grid.
-    fn around(grid: &RouteGrid, from: GCell, to: GCell, margin: u32) -> Self {
-        Window {
-            x0: from.x.min(to.x).saturating_sub(margin),
-            x1: (from.x.max(to.x).saturating_add(margin)).min(grid.nx() - 1),
-            y0: from.y.min(to.y).saturating_sub(margin),
-            y1: (from.y.max(to.y).saturating_add(margin)).min(grid.ny() - 1),
-        }
-    }
-
-}
-
-/// Canonical A\* restricted to `win`. Returns the cost of the best path
-/// found (`f64::INFINITY` only on a malformed window excluding the
-/// target, which [`Window::around`] never builds). Labels are left in
-/// `scratch` for reconstruction.
-fn search(
-    grid: &RouteGrid,
-    costs: &EdgeCosts,
-    from: GCell,
-    to: GCell,
-    win: Window,
-    scratch: &mut MazeScratch,
-) -> f64 {
+/// Canonical A\* over the whole grid. Labels are left in `scratch` for
+/// reconstruction.
+fn search(grid: &RouteGrid, costs: &EdgeCosts, from: GCell, to: GCell, scratch: &mut MazeScratch) {
     scratch.begin(grid.num_gcells());
+    let (nx, ny) = (grid.nx(), grid.ny());
     let h_scale = costs.min_cost();
     let h = |c: GCell| f64::from(c.manhattan(to)) * h_scale;
     let from_i = grid.cell_index(from);
     scratch.set(from_i, 0.0, NO_PARENT);
-    scratch.heap.push(HeapEntry { f: h(from), g: 0.0, cell: from });
+    scratch.heap.push(key(h(from), 0.0, from));
 
     let mut target_g = f64::INFINITY;
-    while let Some(HeapEntry { f, g, cell }) = scratch.heap.pop() {
+    while let Some(entry) = scratch.heap.pop() {
+        let (f, g, cell) = unkey(entry);
         // Everything still queued has f ≥ this f: once that provably
         // exceeds the target's distance, no label on any optimal path can
         // change anymore. (Entries with f == target_g are still processed
@@ -266,29 +177,27 @@ fn search(
             let cur = scratch.g(ni);
             if ng < cur {
                 scratch.set(ni, ng, ci as u32);
-                scratch.heap.push(HeapEntry { f: ng + h(n), g: ng, cell: n });
+                scratch.heap.push(key(ng + h(n), ng, n));
             } else if ng == cur && (ci as u32) < scratch.parent_of(ni) {
                 // Exact cost tie: the lexicographically smallest parent
                 // wins, making the parent array independent of
-                // exploration order (and of the window, once the escape
-                // certificate holds).
+                // exploration order.
                 scratch.set(ni, ng, ci as u32);
             }
         };
-        if cell.x > win.x0 {
+        if cell.x > 0 {
             relax(GCell::new(cell.x - 1, cell.y), grid.h_edge(cell.x - 1, cell.y), scratch);
         }
-        if cell.x < win.x1 {
+        if cell.x + 1 < nx {
             relax(GCell::new(cell.x + 1, cell.y), grid.h_edge(cell.x, cell.y), scratch);
         }
-        if cell.y > win.y0 {
+        if cell.y > 0 {
             relax(GCell::new(cell.x, cell.y - 1), grid.v_edge(cell.x, cell.y - 1), scratch);
         }
-        if cell.y < win.y1 {
+        if cell.y + 1 < ny {
             relax(GCell::new(cell.x, cell.y + 1), grid.v_edge(cell.x, cell.y), scratch);
         }
     }
-    target_g
 }
 
 /// Walks the parent chain from `to` back to `from`, returning the path's
@@ -311,56 +220,29 @@ fn reconstruct(grid: &RouteGrid, from: GCell, to: GCell, scratch: &MazeScratch) 
 }
 
 /// Finds the cheapest path from `from` to `to` under the frozen `costs`,
-/// searching inside the segment bounding box expanded by `margin` gcells
-/// (`None` = whole grid). Returns the path's edges in order; empty when
-/// `from == to`.
-///
-/// The windowed result is **identical** to the unbounded one: the search
-/// accepts a windowed path only when its cost certifies that no path
-/// escaping the window can match it (every edge costs ≥
-/// [`EdgeCosts::min_cost`], so escaping costs at least
-/// `min_cost · (manhattan + 2·(margin+1))`); otherwise the margin doubles
-/// and the search retries, reaching the full grid in O(log grid) steps.
-pub fn route_maze_windowed(
+/// reusing `scratch`. Returns the path's edges in order; empty when
+/// `from == to`. Among equal-cost paths it returns the canonical one (see
+/// the module docs).
+pub fn route_maze_with(
     grid: &RouteGrid,
     costs: &EdgeCosts,
     from: GCell,
     to: GCell,
-    margin: Option<u32>,
     scratch: &mut MazeScratch,
 ) -> Vec<EdgeId> {
     if from == to {
         return Vec::new();
     }
-    let full = Window::full(grid);
-    let d = f64::from(from.manhattan(to));
-    let mut margin = margin;
-    loop {
-        let win = match margin {
-            Some(m) => Window::around(grid, from, to, m),
-            None => full,
-        };
-        let cost = search(grid, costs, from, to, win, scratch);
-        let accepted = win == full || {
-            let m = f64::from(margin.unwrap_or(0));
-            cost < costs.min_cost() * (d + 2.0 * (m + 1.0)) * CERTIFICATE_SLACK
-        };
-        if accepted {
-            return reconstruct(grid, from, to, scratch);
-        }
-        // Certificate failed: a path escaping the window could still be
-        // cheaper (or tie). Double the window and retry.
-        margin = margin.map(|m| m.saturating_mul(2).max(1));
-    }
+    search(grid, costs, from, to, scratch);
+    reconstruct(grid, from, to, scratch)
 }
 
 /// Finds the cheapest path from `from` to `to` under the **live** grid
-/// costs, searching the whole grid. Returns its edges in order; empty when
-/// `from == to`.
+/// costs. Returns its edges in order; empty when `from == to`.
 ///
-/// Convenience wrapper over [`route_maze_windowed`] that snapshots the
-/// costs and allocates a scratch per call — fine for one-off queries and
-/// tests; the negotiation loop uses the reusable pieces directly.
+/// Convenience wrapper over [`route_maze_with`] that snapshots the costs
+/// and allocates a scratch per call — fine for one-off queries and tests;
+/// the negotiation loop uses the reusable pieces directly.
 ///
 /// The search always succeeds on a connected grid (every grid is), though
 /// the path may cross overflowed edges when no free route exists — the
@@ -370,22 +252,13 @@ pub fn route_maze(grid: &RouteGrid, from: GCell, to: GCell, params: CostParams) 
         return Vec::new();
     }
     let costs = EdgeCosts::build(grid, params);
-    let mut scratch = MazeScratch::new();
-    route_maze_windowed(grid, &costs, from, to, None, &mut scratch)
+    route_maze_with(grid, &costs, from, to, &mut MazeScratch::new())
 }
 
-/// Canonical A\* over the layered grid, restricted to `win × all layers`.
-/// States are `(layer, x, y)` with flat index `(layer·ny + y)·nx + x`;
-/// both endpoints sit at layer 0, where pins land. Labels are left in
-/// `scratch` for [`reconstruct3`].
-fn search3(
-    grid: &RouteGrid,
-    costs: &EdgeCosts,
-    from: GCell,
-    to: GCell,
-    win: Window,
-    scratch: &mut MazeScratch,
-) -> f64 {
+/// Canonical A\* over the whole layered grid. States are `(layer, x, y)`
+/// with flat index `(layer·ny + y)·nx + x`; both endpoints sit at layer 0,
+/// where pins land. Labels are left in `scratch` for [`reconstruct3`].
+fn search3(grid: &RouteGrid, costs: &EdgeCosts, from: GCell, to: GCell, scratch: &mut MazeScratch) {
     debug_assert!(grid.has_vias(), "search3 needs via edges to change layers");
     let (nx, ny) = (grid.nx(), grid.ny());
     let nl = grid.num_layers() as u32;
@@ -402,10 +275,11 @@ fn search3(
     let from_i = idx(0, from.x, from.y);
     let to_i = idx(0, to.x, to.y);
     scratch.set(from_i, 0.0, NO_PARENT);
-    scratch.heap3.push(HeapEntry3 { f: h(0, from.x, from.y), g: 0.0, idx: from_i as u32 });
+    scratch.heap3.push(key(h(0, from.x, from.y), 0.0, from_i as u32));
 
     let mut target_g = f64::INFINITY;
-    while let Some(HeapEntry3 { f, g, idx: ci }) = scratch.heap3.pop() {
+    while let Some(entry) = scratch.heap3.pop() {
+        let (f, g, ci) = unkey(entry);
         if f > target_g {
             break;
         }
@@ -424,25 +298,25 @@ fn search3(
             let cur = scratch.g(ni);
             if ng < cur {
                 scratch.set(ni, ng, ci as u32);
-                scratch.heap3.push(HeapEntry3 { f: ng + nh, g: ng, idx: ni as u32 });
+                scratch.heap3.push(key(ng + nh, ng, ni as u32));
             } else if ng == cur && (ci as u32) < scratch.parent_of(ni) {
                 scratch.set(ni, ng, ci as u32);
             }
         };
         match grid.layer_dir(l as usize) {
             crate::grid::LayerDir::Horizontal => {
-                if x > win.x0 {
+                if x > 0 {
                     relax(idx(l, x - 1, y), grid.h_edge_on(l as usize, x - 1, y), h(l, x - 1, y), scratch);
                 }
-                if x < win.x1 {
+                if x + 1 < nx {
                     relax(idx(l, x + 1, y), grid.h_edge_on(l as usize, x, y), h(l, x + 1, y), scratch);
                 }
             }
             crate::grid::LayerDir::Vertical => {
-                if y > win.y0 {
+                if y > 0 {
                     relax(idx(l, x, y - 1), grid.v_edge_on(l as usize, x, y - 1), h(l, x, y - 1), scratch);
                 }
-                if y < win.y1 {
+                if y + 1 < ny {
                     relax(idx(l, x, y + 1), grid.v_edge_on(l as usize, x, y), h(l, x, y + 1), scratch);
                 }
             }
@@ -454,7 +328,6 @@ fn search3(
             relax(idx(l + 1, x, y), grid.via_edge(x, y, l as usize), h(l + 1, x, y), scratch);
         }
     }
-    target_g
 }
 
 /// Walks the 3-D parent chain from `(0, to)` back to `(0, from)`,
@@ -491,63 +364,40 @@ fn reconstruct3(grid: &RouteGrid, from: GCell, to: GCell, scratch: &MazeScratch)
     edges
 }
 
-/// Layered counterpart of [`route_maze_windowed`]: cheapest path between
-/// two layer-0 endpoints through the full 3-D grid (planar edges on their
-/// layers, via edges between), searching inside `bbox + margin` × the
-/// whole layer range.
-///
-/// The same window-escape certificate applies unchanged: any path leaving
-/// the planar window must spend at least `2·(margin+1)` extra planar
-/// edges at ≥ `min_cost` each — via edges only ever *add* cost — so a
-/// windowed path strictly under the bound is provably globally optimal,
-/// and the canonical tie-break makes the result independent of the window
-/// and the thread count.
-pub fn route_maze3_windowed(
+/// Layered counterpart of [`route_maze_with`]: cheapest path between two
+/// layer-0 endpoints through the full 3-D grid (planar edges on their
+/// layers, via edges between), reusing `scratch`. The same canonical
+/// tie-break makes the result independent of the thread count.
+pub fn route_maze3_with(
     grid: &RouteGrid,
     costs: &EdgeCosts,
     from: GCell,
     to: GCell,
-    margin: Option<u32>,
     scratch: &mut MazeScratch,
 ) -> Vec<EdgeId> {
     if from == to {
         return Vec::new();
     }
-    let full = Window::full(grid);
-    let d = f64::from(from.manhattan(to));
-    let mut margin = margin;
-    loop {
-        let win = match margin {
-            Some(m) => Window::around(grid, from, to, m),
-            None => full,
-        };
-        let cost = search3(grid, costs, from, to, win, scratch);
-        let accepted = win == full || {
-            let m = f64::from(margin.unwrap_or(0));
-            cost < costs.min_cost() * (d + 2.0 * (m + 1.0)) * CERTIFICATE_SLACK
-        };
-        if accepted {
-            return reconstruct3(grid, from, to, scratch);
-        }
-        margin = margin.map(|m| m.saturating_mul(2).max(1));
-    }
+    search3(grid, costs, from, to, scratch);
+    reconstruct3(grid, from, to, scratch)
 }
 
-/// One-off layered maze query under the live grid costs (whole grid, own
-/// scratch) — the 3-D analogue of [`route_maze`].
+/// One-off layered maze query under the live grid costs (own scratch) —
+/// the 3-D analogue of [`route_maze`].
 pub fn route_maze3(grid: &RouteGrid, from: GCell, to: GCell, params: CostParams) -> Vec<EdgeId> {
     if from == to {
         return Vec::new();
     }
     let costs = EdgeCosts::build(grid, params);
-    let mut scratch = MazeScratch::new();
-    route_maze3_windowed(grid, &costs, from, to, None, &mut scratch)
+    route_maze3_with(grid, &costs, from, to, &mut MazeScratch::new())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdp_geom::rng::Rng;
     use rdp_geom::Point;
+    use std::cmp::Ordering;
 
     fn grid() -> RouteGrid {
         RouteGrid::uniform(10, 10, Point::ORIGIN, 1.0, 1.0, 4.0, 4.0)
@@ -640,28 +490,10 @@ mod tests {
         ];
         // Reused scratch vs a fresh scratch per query: identical paths.
         for &(a, b) in &pairs {
-            let reused = route_maze_windowed(&g, &costs, a, b, Some(2), &mut scratch);
-            let fresh =
-                route_maze_windowed(&g, &costs, a, b, Some(2), &mut MazeScratch::new());
+            let reused = route_maze_with(&g, &costs, a, b, &mut scratch);
+            let fresh = route_maze_with(&g, &costs, a, b, &mut MazeScratch::new());
             assert_eq!(reused, fresh, "{a:?} -> {b:?}");
         }
-    }
-
-    #[test]
-    fn tiny_window_matches_unbounded_around_a_wall() {
-        let mut g = grid();
-        // Wall forces the route far outside the segment bbox: margin 0
-        // must expand until it certifies, then match unbounded exactly.
-        for y in 0..9 {
-            g.add_usage(g.h_edge(4, y), 100.0);
-        }
-        let costs = EdgeCosts::build(&g, CostParams::default());
-        let mut scratch = MazeScratch::new();
-        let from = GCell::new(0, 0);
-        let to = GCell::new(9, 0);
-        let windowed = route_maze_windowed(&g, &costs, from, to, Some(0), &mut scratch);
-        let unbounded = route_maze_windowed(&g, &costs, from, to, None, &mut scratch);
-        assert_eq!(windowed, unbounded);
     }
 
     fn grid3() -> RouteGrid {
@@ -760,34 +592,17 @@ mod tests {
     }
 
     #[test]
-    fn maze3_window_matches_unbounded() {
-        let mut g = grid3();
-        // Saturate layer 0's bottom corridor so the best route detours.
-        for x in 0..5 {
-            g.add_usage(g.h_edge_on(0, x, 0), 100.0);
-        }
-        let costs = EdgeCosts::build(&g, CostParams::default());
-        let mut scratch = MazeScratch::new();
-        let from = GCell::new(0, 0);
-        let to = GCell::new(5, 0);
-        let windowed = route_maze3_windowed(&g, &costs, from, to, Some(0), &mut scratch);
-        let unbounded = route_maze3_windowed(&g, &costs, from, to, None, &mut scratch);
-        assert_eq!(windowed, unbounded);
-        assert!(!windowed.is_empty());
-    }
-
-    #[test]
     fn maze3_scratch_is_shareable_with_2d_searches() {
         let g2 = grid();
         let g3 = grid3();
         let costs2 = EdgeCosts::build(&g2, CostParams::default());
         let costs3 = EdgeCosts::build(&g3, CostParams::default());
         let mut scratch = MazeScratch::new();
-        let a2 = route_maze_windowed(&g2, &costs2, GCell::new(0, 0), GCell::new(7, 7), Some(2), &mut scratch);
-        let a3 = route_maze3_windowed(&g3, &costs3, GCell::new(0, 0), GCell::new(5, 5), Some(2), &mut scratch);
+        let a2 = route_maze_with(&g2, &costs2, GCell::new(0, 0), GCell::new(7, 7), &mut scratch);
+        let a3 = route_maze3_with(&g3, &costs3, GCell::new(0, 0), GCell::new(5, 5), &mut scratch);
         // Interleave and repeat: identical results from the shared scratch.
-        let b2 = route_maze_windowed(&g2, &costs2, GCell::new(0, 0), GCell::new(7, 7), Some(2), &mut scratch);
-        let b3 = route_maze3_windowed(&g3, &costs3, GCell::new(0, 0), GCell::new(5, 5), Some(2), &mut scratch);
+        let b2 = route_maze_with(&g2, &costs2, GCell::new(0, 0), GCell::new(7, 7), &mut scratch);
+        let b3 = route_maze3_with(&g3, &costs3, GCell::new(0, 0), GCell::new(5, 5), &mut scratch);
         assert_eq!(a2, b2);
         assert_eq!(a3, b3);
     }
@@ -798,16 +613,90 @@ mod tests {
         assert!(route_maze3(&g, GCell::new(3, 3), GCell::new(3, 3), CostParams::default()).is_empty());
     }
 
+    /// The float comparator the packed keys replaced, kept as their
+    /// oracle: min-f via `total_cmp`, then the larger g, then the smaller
+    /// state.
+    #[derive(Debug, Clone, Copy)]
+    struct HeapEntry<T> {
+        f: f64,
+        g: f64,
+        state: T,
+    }
+
+    impl<T: Ord> Ord for HeapEntry<T> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other
+                .f
+                .total_cmp(&self.f)
+                .then_with(|| self.g.total_cmp(&other.g))
+                .then_with(|| other.state.cmp(&self.state))
+        }
+    }
+
+    impl<T: Ord> PartialOrd for HeapEntry<T> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl<T: Ord> PartialEq for HeapEntry<T> {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == Ordering::Equal
+        }
+    }
+
+    impl<T: Ord> Eq for HeapEntry<T> {}
+
+    /// Seeded entries with many exact ties in f, in g and in both: f and g
+    /// come from a small lattice (zero included), with a share of
+    /// continuous draws; `state` draws the last field.
+    fn random_entries<T>(
+        seed: u64,
+        mut state: impl FnMut(&mut Rng) -> T,
+    ) -> Vec<HeapEntry<T>> {
+        let mut rng = Rng::seed_from_u64(seed);
+        let value = |rng: &mut Rng| {
+            if rng.gen_bool(0.8) {
+                f64::from(rng.gen_range(0u32..6)) * 0.75
+            } else {
+                rng.gen_range(0.0..5.0)
+            }
+        };
+        (0..4000)
+            .map(|_| HeapEntry { f: value(&mut rng), g: value(&mut rng), state: state(&mut rng) })
+            .collect()
+    }
+
+    /// Pushes `entries` through a packed-key heap and asserts the pop order
+    /// equals a sort by the [`HeapEntry`] oracle (greatest pops first).
+    fn assert_pop_order_matches_oracle<T: Ord + Copy + std::fmt::Debug>(entries: &[HeapEntry<T>]) {
+        let mut heap: BinaryHeap<Reverse<(u64, u64, T)>> =
+            entries.iter().map(|e| key(e.f, e.g, e.state)).collect();
+        let popped: Vec<(f64, f64, T)> =
+            std::iter::from_fn(|| heap.pop().map(unkey)).collect();
+        let mut oracle = entries.to_vec();
+        oracle.sort_by(|a, b| b.cmp(a));
+        let expected: Vec<(f64, f64, T)> = oracle.iter().map(|e| (e.f, e.g, e.state)).collect();
+        assert_eq!(popped.len(), expected.len());
+        for (i, (p, e)) in popped.iter().zip(&expected).enumerate() {
+            assert!(
+                p.0.to_bits() == e.0.to_bits() && p.1.to_bits() == e.1.to_bits() && p.2 == e.2,
+                "pop {i}: packed {p:?} vs oracle {e:?}"
+            );
+        }
+    }
+
     #[test]
-    fn heap_entry_order_is_total_and_deterministic() {
-        let e = |f: f64, g: f64, x: u32| HeapEntry { f, g, cell: GCell::new(x, 0) };
-        // Smaller f pops first (greater in max-heap order).
-        assert_eq!(e(1.0, 0.0, 0).cmp(&e(2.0, 0.0, 0)), Ordering::Greater);
-        // Equal f: larger g pops first.
-        assert_eq!(e(1.0, 1.0, 0).cmp(&e(1.0, 0.5, 0)), Ordering::Greater);
-        // Equal f and g: smaller cell pops first.
-        assert_eq!(e(1.0, 1.0, 1).cmp(&e(1.0, 1.0, 2)), Ordering::Greater);
-        // NaN does not collapse to Equal (total order).
-        assert_ne!(e(f64::NAN, 0.0, 0).cmp(&e(1.0, 0.0, 0)), Ordering::Equal);
+    fn packed_key_pop_order_matches_the_float_comparator() {
+        let entries = random_entries(0x4EA9, |rng| {
+            GCell::new(rng.gen_range(0u32..4), rng.gen_range(0u32..4))
+        });
+        assert_pop_order_matches_oracle(&entries);
+    }
+
+    #[test]
+    fn packed_key3_pop_order_matches_the_float_comparator() {
+        let entries = random_entries(0x4EA93, |rng| rng.gen_range(0u32..48));
+        assert_pop_order_matches_oracle(&entries);
     }
 }

@@ -39,6 +39,9 @@ run cargo run --release -p rdp-bench --bin bench_solver_ab -- --smoke
 # the routed truth must clear the gates stamped into the weight file),
 # per-round tier costs at 10k cells and the prob-vs-auto flow A/B.
 run cargo run --release -p rdp-bench --bin bench_estimator -- --smoke
+# Router smoke: the negotiation router's outcome fingerprint must be
+# bitwise equal at 1/2/4/8 threads (a few seconds on a 2k-cell design).
+run cargo run --release -p rdp-bench --bin bench_router -- --smoke
 # Service-level chaos smoke: seeded worker panics, NaN gradients, budget
 # exhaustion and one mid-batch server kill across concurrent jobs; every
 # job must land terminal with placements bitwise identical to a serial
@@ -59,7 +62,6 @@ if [[ "${1:-}" == "--full" ]]; then
   run cargo test --workspace -q --features rdp/property-tests,rdp-db/property-tests,rdp-route/property-tests
   run cargo build --workspace --benches --features rdp-bench/bench
   run cargo clippy --workspace --all-targets --features rdp-bench/bench -- -D warnings
-  run cargo run --release -p rdp-bench --bin bench_router -- --smoke
   run cargo run --release -p rdp-bench --bin bench_incremental -- --smoke
   run cargo run --release -p rdp-bench --bin bench_route3d -- --smoke
   # Learned-estimator reproducibility: retraining from the fixed seed must
