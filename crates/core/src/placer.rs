@@ -10,12 +10,16 @@ use crate::legalize::{legalize_with_displacement_par, LegalizeStats};
 use crate::macro_handling::optimize_macro_orientations;
 use crate::model::Model;
 use crate::optimizer::{run_global_place, GpOptions, GpOutcome};
-use crate::recovery::{BudgetClock, DegradedResult, FlowBudget, FlowCheckpoint, RecoveryEvent};
+use crate::recovery::{
+    BudgetClock, DegradedResult, Diverged, FlowBudget, FlowCheckpoint, RecoveryEvent,
+};
 use crate::trace::Trace;
 use rdp_db::{Design, NodeId, Placement, Region};
-use rdp_geom::Rect;
+use rdp_geom::{Point, Rect};
 use rdp_route::{GlobalRouter, RouteGrid, RouterConfig, RoutingOutcome};
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// Error cases of [`Placer::run`].
@@ -187,13 +191,6 @@ impl CongestionSchedule {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct GpRoutabilityOptions {
-    /// Legacy switch for the two-tier days: `true` meant "router
-    /// congestion every round". Only honored when `schedule` is still the
-    /// default (see [`GpRoutabilityOptions::effective_schedule`]).
-    #[deprecated(
-        note = "use `GpRoutabilityOptions::builder().schedule(CongestionSchedule::Uniform(CongestionSource::Router))`"
-    )]
-    pub use_router_congestion: bool,
     /// Router configuration of the [`CongestionSource::Router`] tier. Its
     /// `parallelism` is overridden by [`GpOptions::parallelism`] so the
     /// whole pipeline shares one thread-count knob.
@@ -221,21 +218,8 @@ impl GpRoutabilityOptions {
     pub fn to_builder(&self) -> GpRoutabilityOptionsBuilder {
         GpRoutabilityOptionsBuilder {
             router: self.router.clone(),
-            schedule: self.effective_schedule(),
+            schedule: self.schedule.clone(),
             estimator_weights: self.estimator_weights.clone(),
-        }
-    }
-
-    /// The schedule the placer actually runs: the deprecated
-    /// `use_router_congestion = true` shim maps to a uniform router
-    /// schedule as long as `schedule` itself was left at its default (an
-    /// explicit schedule always wins).
-    pub fn effective_schedule(&self) -> CongestionSchedule {
-        #[allow(deprecated)]
-        if self.use_router_congestion && self.schedule == CongestionSchedule::default() {
-            CongestionSchedule::Uniform(CongestionSource::Router)
-        } else {
-            self.schedule.clone()
         }
     }
 
@@ -258,7 +242,7 @@ impl GpRoutabilityOptions {
 /// let opts = GpRoutabilityOptions::builder()
 ///     .schedule(CongestionSchedule::auto())
 ///     .build();
-/// assert_eq!(opts.effective_schedule(), CongestionSchedule::auto());
+/// assert_eq!(opts.schedule, CongestionSchedule::auto());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct GpRoutabilityOptionsBuilder {
@@ -293,9 +277,7 @@ impl GpRoutabilityOptionsBuilder {
 
     /// Finishes the configuration.
     pub fn build(self) -> GpRoutabilityOptions {
-        #[allow(deprecated)]
         GpRoutabilityOptions {
-            use_router_congestion: false,
             router: self.router,
             schedule: self.schedule,
             estimator_weights: self.estimator_weights,
@@ -459,19 +441,6 @@ impl PlaceOptions {
     ) -> Self {
         self.gp.solver = solver;
         self.gp.density_model = density_model;
-        self
-    }
-
-    /// Feeds the inflation rounds true routed congestion via the
-    /// incremental reroute API instead of the pattern estimate (first
-    /// round routes from scratch, later rounds reroute only moved cells).
-    /// Shorthand for `with_estimator(CongestionSchedule::Uniform(
-    /// CongestionSource::Router))`.
-    pub fn with_router_congestion(mut self) -> Self {
-        #[allow(deprecated)]
-        {
-            self.routability_opts.use_router_congestion = true;
-        }
         self
     }
 
@@ -649,10 +618,12 @@ impl<'a> Placer<'a> {
         }
     }
 
-    /// Runs the full pipeline with cancellation and resume support: the
-    /// cancel token (see [`Placer::with_cancel`]) is polled at stage
-    /// boundaries and stops the run at its latest checkpoint, which a
-    /// later [`Placer::resume_from`] continues bitwise-exactly (in
+    /// Runs the full pipeline with cancellation and resume support. The
+    /// flow is a list of stages (global placement, the routability rounds,
+    /// legalization, detailed placement); the cancel token (see
+    /// [`Placer::with_cancel`]) is polled at every stage boundary and stops
+    /// the run at its latest checkpoint, which a later
+    /// [`Placer::resume_from`] continues bitwise-exactly (in
     /// estimator-congestion mode).
     ///
     /// # Errors
@@ -660,18 +631,154 @@ impl<'a> Placer<'a> {
     /// Returns [`PlaceError`] for structurally unplaceable designs or a
     /// checkpoint that does not fit the design.
     pub fn run_resumable(self) -> Result<FlowProgress, PlaceError> {
-        let design = self.design;
+        let t_start = Instant::now();
         let mut opts = self.options;
         // One persistent worker pool serves every parallel region in the
         // flow (GP kernels, router, congestion estimation, legalization)
         // instead of spawning fresh scoped threads per kernel call.
         opts.gp.parallelism.ensure_pool();
-        let opts = opts;
-        let mut sink = self.checkpoint_sink;
         let cancel = self.cancel;
-        let resume = self.resume;
-        let t_start = Instant::now();
+        let cancelled = || cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed));
+        let mut flow =
+            FlowState::new(self.design, &opts, self.initial, self.resume, self.checkpoint_sink)?;
+        let mut stage = Stage::resume_point(flow.checkpoint.as_ref());
+        loop {
+            // Every boundary after global placement has a checkpoint to
+            // stop at.
+            if stage != Stage::GlobalPlace && cancelled() {
+                let cp = flow.checkpoint.expect("a checkpoint exists after global placement");
+                return Ok(FlowProgress::Interrupted(cp));
+            }
+            let step = match flow.skip_on_budget(stage) {
+                Some(step) => step,
+                None => match stage {
+                    Stage::GlobalPlace => flow.global_place()?,
+                    Stage::Inflate(round) => flow.inflate_round(round),
+                    Stage::Legalize => flow.legalize(),
+                    Stage::Detail => flow.detail(),
+                },
+            };
+            stage = match step {
+                Step::Checkpoint(next) => {
+                    flow.save_checkpoint(stage);
+                    next
+                }
+                Step::Goto(next) => next,
+                Step::Done => return Ok(FlowProgress::Completed(Box::new(flow.finish(t_start)))),
+            };
+        }
+    }
+}
 
+/// One stage of the flow. A fresh run walks them in order: global
+/// placement (multilevel V-cycle and macro rotation), the routability
+/// rounds `Inflate(0..inflation_rounds)`, legalization, detailed placement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    GlobalPlace,
+    Inflate(usize),
+    Legalize,
+    Detail,
+}
+
+impl Stage {
+    /// Where a run starts: global placement without a checkpoint, detailed
+    /// placement from a legal one, and otherwise the first routability
+    /// round the checkpointed run did not complete.
+    fn resume_point(checkpoint: Option<&FlowCheckpoint>) -> Stage {
+        match checkpoint {
+            None => Stage::GlobalPlace,
+            Some(cp) if cp.legal => Stage::Detail,
+            Some(cp) => Stage::Inflate(cp.rounds_done),
+        }
+    }
+
+    /// The stage's name in checkpoints, stage timings and degradation
+    /// reports.
+    fn name(self) -> String {
+        match self {
+            Stage::GlobalPlace => "global_place".into(),
+            Stage::Inflate(round) => format!("inflate{round}"),
+            Stage::Legalize => "legalize".into(),
+            Stage::Detail => "detailed".into(),
+        }
+    }
+}
+
+/// How a stage hands control back to the driver.
+enum Step {
+    /// The stage completed: checkpoint it, then run the given stage.
+    Checkpoint(Stage),
+    /// Go on to the given stage with nothing new to checkpoint.
+    Goto(Stage),
+    /// The flow is complete.
+    Done,
+}
+
+/// What the stages share: the evolving placement and model, the trace,
+/// the resilience bookkeeping and the warm state of the routability loop.
+struct FlowState<'f> {
+    design: &'f Design,
+    opts: &'f PlaceOptions,
+    /// Fence regions seen by global placement (none when hierarchy-blind).
+    regions: &'f [Region],
+    /// Fixed-node blockages as (rect, occupancy) for the density fields.
+    blocked: Vec<(Rect, f64)>,
+    placement: Placement,
+    model: Model,
+    trace: Trace,
+    /// Outcome of the latest GP pass; `None` only before global placement.
+    gp_outcome: Option<GpOutcome>,
+    /// The first degraded stage (drives the [`DegradedResult`] report).
+    degraded_stage: Option<String>,
+    /// The checkpoint a rollback restored, if any.
+    restored_from: Option<String>,
+    rounds_done: usize,
+    /// The latest feasible checkpoint (the resume checkpoint until a stage
+    /// saves a newer one).
+    checkpoint: Option<FlowCheckpoint>,
+    sink: Option<CheckpointSink<'f>>,
+    flow_clock: BudgetClock,
+    /// The estimator grid (see [`shared_grid`]); detailed placement reuses it.
+    congestion_grid: Option<RouteGrid>,
+    /// The routability loop, open from its first round to its end.
+    routability: Option<RoutabilityLoop>,
+    inflation_stats: Vec<InflationStats>,
+    legalize_stats: LegalizeStats,
+    detail_stats: Option<DetailStats>,
+}
+
+/// State of an open routability loop.
+struct RoutabilityLoop {
+    started: Instant,
+    clock: BudgetClock,
+    /// Net weights before congestion reweighting, restored at loop end.
+    base_weights: Vec<f64>,
+    router: RouterTier,
+}
+
+/// Warm state of the router tier: the previous routing outcome (the
+/// incremental reroute starts from it), the node centers it was routed at
+/// (to find the moved cells), and whether a blown router budget has
+/// downgraded the remaining router rounds to the probabilistic estimate
+/// (degradation ladder: true routed congestion → probabilistic estimate).
+struct RouterTier {
+    router: GlobalRouter,
+    routed: Option<RoutingOutcome>,
+    routed_at: Vec<Point>,
+    degraded: bool,
+}
+
+impl<'f> FlowState<'f> {
+    /// Validates the design and the resume checkpoint and sets up the state
+    /// the first stage starts from.
+    fn new(
+        design: &'f Design,
+        opts: &'f PlaceOptions,
+        initial: Option<Placement>,
+        resume: Option<FlowCheckpoint>,
+        sink: Option<CheckpointSink<'f>>,
+    ) -> Result<Self, PlaceError> {
         if design.movable_ids().next().is_none() {
             return Err(PlaceError::NothingToPlace);
         }
@@ -679,82 +786,30 @@ impl<'a> Placer<'a> {
         if has_cells && design.rows().is_empty() {
             return Err(PlaceError::NoRows);
         }
-
-        // A resume checkpoint must structurally fit this design and be
-        // finite — anything else is a caller error (wrong design, corrupt
-        // file), not a recoverable flow state.
-        if let Some(cp) = &resume {
-            let num_objects = design.movable_ids().count();
-            if cp.placement.len() != design.nodes().len() {
-                return Err(PlaceError::BadResume {
-                    reason: format!(
-                        "checkpoint has {} nodes, design has {}",
-                        cp.placement.len(),
-                        design.nodes().len()
-                    ),
-                });
+        let placement = match &resume {
+            Some(cp) => {
+                check_resume(design, cp)?;
+                cp.placement.clone()
             }
-            if cp.density_area.len() != num_objects {
-                return Err(PlaceError::BadResume {
-                    reason: format!(
-                        "checkpoint has {} density areas, design has {} movable objects",
-                        cp.density_area.len(),
-                        num_objects
-                    ),
-                });
+            None => {
+                let mut placement = initial.unwrap_or_else(|| Placement::new_centered(design));
+                jitter(design, &mut placement, opts.seed);
+                // The resilience layer has nothing to roll back to before
+                // the first GP stage completes, so a non-finite *initial*
+                // placement is the one divergence that surfaces as a hard
+                // error.
+                if design.node_ids().any(|id| !placement.center(id).is_finite()) {
+                    return Err(PlaceError::Diverged { stage: "initial".into(), retries: 0 });
+                }
+                placement
             }
-            if cp.placement.centers().iter().any(|c| !c.is_finite())
-                || cp.density_area.iter().any(|a| !a.is_finite())
-            {
-                return Err(PlaceError::BadResume {
-                    reason: "checkpoint contains non-finite state".into(),
-                });
-            }
-        }
-
-        let resuming = resume.is_some();
-        let mut placement = match &resume {
-            Some(cp) => cp.placement.clone(),
-            None => self.initial.unwrap_or_else(|| Placement::new_centered(design)),
         };
-        let mut trace = Trace::new();
-
-        // Symmetry-breaking jitter around the initial positions. A resumed
-        // run restarts *after* global placement, so jitter (an input of the
-        // GP stage) must not be re-applied.
-        if !resuming {
-            let mut rng = rdp_geom::rng::Rng::seed_from_u64(opts.seed);
-            let die = design.die();
-            let jx = die.width() * 0.05;
-            let jy = die.height() * 0.05;
-            for id in design.movable_ids() {
-                let c = placement.center(id);
-                let p = rdp_geom::Point::new(
-                    rdp_geom::clamp(c.x + rng.gen_range(-jx..jx), die.xl, die.xh),
-                    rdp_geom::clamp(c.y + rng.gen_range(-jy..jy), die.yl, die.yh),
-                );
-                placement.set_center(id, p);
-            }
-
-            // The resilience layer has nothing to roll back to before the
-            // first GP stage completes, so a non-finite *initial* placement
-            // is the one divergence that surfaces as a hard error.
-            if design
-                .node_ids()
-                .any(|id| !placement.center(id).is_finite())
-            {
-                return Err(PlaceError::Diverged { stage: "initial".into(), retries: 0 });
-            }
-        }
-
-        let blocked: Vec<(Rect, f64)> = design
+        let blocked = design
             .node_ids()
             .filter(|&id| design.node(id).kind() == rdp_db::NodeKind::Fixed)
             .flat_map(|id| design.blocking_rects(id, &placement))
             .map(|r| (r, 1.0))
             .collect();
-        let gp_regions: &[Region] = if opts.hierarchy_aware { design.regions() } else { &[] };
-
         // The model is fully derivable from (design, placement) except for
         // the density areas, which cell inflation mutates cumulatively —
         // those are restored from the checkpoint on resume.
@@ -762,585 +817,517 @@ impl<'a> Placer<'a> {
         if let Some(cp) = &resume {
             model.area.copy_from_slice(&cp.density_area);
         }
-        let mut gp_outcome;
+        Ok(FlowState {
+            design,
+            opts,
+            regions: if opts.hierarchy_aware { design.regions() } else { &[] },
+            blocked,
+            placement,
+            model,
+            trace: Trace::new(),
+            gp_outcome: resume.as_ref().map(|cp| cp.gp),
+            degraded_stage: None,
+            restored_from: None,
+            rounds_done: resume.as_ref().map_or(0, |cp| cp.rounds_done),
+            checkpoint: resume,
+            sink,
+            flow_clock: BudgetClock::new(opts.budget.flow_wall),
+            congestion_grid: None,
+            routability: None,
+            inflation_stats: Vec::new(),
+            legalize_stats: LegalizeStats::default(),
+            detail_stats: None,
+        })
+    }
 
-        // Resilience state: the first degraded stage (drives the
-        // [`DegradedResult`] report), the checkpoint restored from (if
-        // any), the latest feasible checkpoint, and the flow-wide budget.
-        let mut degraded_stage: Option<String> = None;
-        let mut restored_from: Option<String> = None;
-        let resume_at_legalize = resume.as_ref().is_some_and(|cp| cp.legal);
-        let start_round = resume.as_ref().map_or(0, |cp| cp.rounds_done);
-        let mut rounds_done = start_round;
-        let resume_gp = resume.as_ref().map(|cp| cp.gp);
-        let mut checkpoint: Option<FlowCheckpoint> = resume;
-        let flow_clock = BudgetClock::new(opts.budget.flow_wall);
-        let cancelled = || {
-            cancel
-                .as_ref()
-                .is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed))
+    /// Runs one GP pass on the model. Divergence is not fatal: the model
+    /// keeps its last finite iterate and the first diverged stage marks
+    /// the run degraded.
+    fn gp(&mut self, label: &str, gp_opts: &GpOptions) -> Result<GpOutcome, Diverged> {
+        let (regions, blocked) = (self.regions, &self.blocked);
+        run_global_place(&mut self.model, regions, blocked, gp_opts, &mut self.trace, label)
+            .inspect_err(|div| {
+                self.degraded_stage.get_or_insert_with(|| div.stage.clone());
+            })
+    }
+
+    /// Drops an optional quality stage that is about to start once the flow
+    /// budget is spent: the routability loop (before its first round) and
+    /// detailed placement. Legalization is never skipped.
+    fn skip_on_budget(&mut self, stage: Stage) -> Option<Step> {
+        let opts = self.opts;
+        let (skipped, at_round, next) = match stage {
+            Stage::Inflate(_)
+                if opts.routability && opts.inflation_rounds > 0 && self.routability.is_none() =>
+            {
+                ("routability".to_owned(), 0, Step::Goto(Stage::Legalize))
+            }
+            Stage::Detail if opts.detailed => (stage.name(), opts.inflation_rounds, Step::Done),
+            _ => return None,
         };
-
-        if let Some(gp) = resume_gp {
-            // Resumed run: global placement (and macro rotation) already
-            // completed in the checkpointed run; the checkpoint placement
-            // and restored density areas carry their full effect.
-            gp_outcome = gp;
-        } else {
-            // --- Multilevel V-cycle (downward refinement half). ---
-            let t_gp = Instant::now();
-            if opts.multilevel {
-                let levels = build_levels(&model, opts.cluster_limit);
-                if let Some(coarsest) = levels.last() {
-                    let mut coarse = coarsest.coarse.clone();
-                    let coarse_opts = GpOptions {
-                        max_outer: opts.gp.max_outer / 2 + 2,
-                        ..opts.gp.clone()
-                    };
-                    // Coarse-level divergence is non-fatal: the level only
-                    // provides a warm start, and the model is left at its
-                    // last finite iterate either way.
-                    if let Err(div) = run_global_place(
-                        &mut coarse,
-                        gp_regions,
-                        &blocked,
-                        &coarse_opts,
-                        &mut trace,
-                        &format!("gp/level{}", levels.len()),
-                    ) {
-                        degraded_stage.get_or_insert(div.stage);
-                    }
-                    // Walk down the hierarchy.
-                    let mut positions = coarse.positions();
-                    for (li, lvl) in levels.iter().enumerate().rev() {
-                        // Reconstruct the model at this level: it is either
-                        // the next level's coarse model or the finest model.
-                        let mut level_model = if li == 0 {
-                            model.clone()
-                        } else {
-                            levels[li - 1].coarse.clone()
-                        };
-                        let projected = crate::cluster::Clustering {
-                            coarse: {
-                                let mut c = lvl.coarse.clone();
-                                c.set_positions(&positions);
-                                c
-                            },
-                            parent: lvl.parent.clone(),
-                        };
-                        project_down(&mut level_model, &projected);
-                        let level_opts = if li == 0 {
-                            opts.gp.clone()
-                        } else {
-                            GpOptions { max_outer: opts.gp.max_outer / 2 + 2, ..opts.gp.clone() }
-                        };
-                        if let Err(div) = run_global_place(
-                            &mut level_model,
-                            gp_regions,
-                            &blocked,
-                            &level_opts,
-                            &mut trace,
-                            &format!("gp/level{li}"),
-                        ) {
-                            degraded_stage.get_or_insert(div.stage);
-                        }
-                        positions = level_model.positions();
-                        if li == 0 {
-                            model = level_model;
-                        }
-                    }
-                }
-            }
-            gp_outcome = match run_global_place(
-                &mut model,
-                gp_regions,
-                &blocked,
-                &opts.gp,
-                &mut trace,
-                "gp/final",
-            ) {
-                Ok(out) => out,
-                Err(div) => {
-                    // The model holds its last finite iterate — usable,
-                    // just not converged. Continue the flow degraded.
-                    degraded_stage.get_or_insert(div.stage);
-                    div.best
-                }
-            };
-            // Paranoia: the optimizer contract guarantees a finite iterate
-            // on both the Ok and Err paths; a non-finite position here
-            // means the contract was violated upstream and nothing
-            // checkpointable exists.
-            if model.pos_x.iter().chain(&model.pos_y).any(|v| !v.is_finite()) {
-                return Err(PlaceError::Diverged {
-                    stage: "gp/final".into(),
-                    retries: opts.gp.recovery.max_retries,
-                });
-            }
-            trace.record_stage("global_place", t_gp.elapsed());
-
-            // --- Macro rotation between GP and routability. ---
-            if opts.macro_rotation {
-                let t = Instant::now();
-                model.write_back(&mut placement);
-                let changed = match opts.rotation_mode {
-                    RotationMode::Discrete => {
-                        optimize_macro_orientations(design, &mut placement, true)
-                    }
-                    RotationMode::Continuous => {
-                        // Continuous angles, snapped; then a flip-only
-                        // discrete pass decides mirroring (the angle cannot
-                        // express it).
-                        let gamma = 2.0 * design.row_height().unwrap_or(10.0);
-                        let out = crate::rotation::optimize_rotation_continuous(&model, gamma, 100);
-                        let mut changed = 0;
-                        for (a, &q) in out.angles.iter().zip(&out.snapped) {
-                            let node = model.node_of[a.obj as usize];
-                            let orient = crate::rotation::orient_of_quarter(q);
-                            if placement.orient(node) != orient {
-                                placement.set_orient(node, orient);
-                                changed += 1;
-                            }
-                        }
-                        changed + optimize_macro_orientations(design, &mut placement, false)
-                    }
-                };
-                if changed > 0 {
-                    // Orientations changed pin offsets and macro dims:
-                    // rebuild the model from the updated placement and
-                    // re-polish.
-                    model = Model::from_design(design, &placement);
-                    match run_global_place(
-                        &mut model,
-                        gp_regions,
-                        &blocked,
-                        &GpOptions { max_outer: 4, ..opts.gp.clone() },
-                        &mut trace,
-                        "gp/rotation",
-                    ) {
-                        Ok(out) => gp_outcome = out,
-                        Err(div) => {
-                            degraded_stage.get_or_insert(div.stage);
-                            gp_outcome = div.best;
-                        }
-                    }
-                }
-                trace.record_stage("macro_rotation", t.elapsed());
-            }
-
-            // First checkpoint: the converged (or best recovered) global
-            // placement, before the routability loop perturbs it.
-            model.write_back(&mut placement);
-            save_checkpoint(
-                &mut checkpoint,
-                sink.as_deref_mut(),
-                &mut trace,
-                "global_place",
-                design,
-                &placement,
-                false,
-                &model.area,
-                0,
-                gp_outcome,
-            );
+        if !self.flow_clock.exhausted() {
+            return None;
         }
-        if cancelled() {
-            let cp = checkpoint.expect("checkpoint exists after global placement");
-            return Ok(FlowProgress::Interrupted(cp));
-        }
+        self.trace.record_event(RecoveryEvent::BudgetTruncated { scope: "flow".into(), at_round });
+        self.degraded_stage.get_or_insert(skipped);
+        Some(next)
+    }
 
-        // --- Routability loop: estimate → inflate / reweight → re-place. ---
-        //
-        // The congestion grid is built once and refreshed in place every
-        // round: capacities depend only on fixed-node blockages (which
-        // never move), so re-carving them each round was pure waste. The
-        // same grid serves the detailed-placement stage below.
-        let mut congestion_grid: Option<rdp_route::RouteGrid> = None;
-        let mut inflation_stats: Vec<InflationStats> = Vec::new();
-        let mut interrupted = false;
-        if resume_at_legalize {
-            // Resumed from the legal checkpoint: the routability loop (and
-            // legalization below) already ran in the checkpointed run.
-        } else if opts.routability && opts.inflation_rounds > 0 && flow_clock.exhausted() {
-            // Flow budget already spent: drop the routability loop (a
-            // quality stage) and proceed straight to legalization.
-            trace.record_event(RecoveryEvent::BudgetTruncated { scope: "flow".into(), at_round: 0 });
-            degraded_stage.get_or_insert_with(|| "routability".into());
-        } else if opts.routability && opts.inflation_rounds > 0 {
-            let t = Instant::now();
-            let base_weights: Vec<f64> = model.net_weight.clone();
-            // State of the router tier: the previous round's routing
-            // outcome (warm state for the incremental reroute) and the
-            // node centers it was routed at (so the next round can compute
-            // its moved-cell set). `router_degraded` downgrades remaining
-            // router rounds to the probabilistic estimate when the router
-            // blows its time budget (degradation ladder: true routed
-            // congestion → probabilistic estimate).
-            let schedule = opts.routability_opts.effective_schedule();
-            let mut router_degraded = false;
-            let mut router_config = opts.routability_opts.router.clone();
-            router_config.parallelism = opts.gp.parallelism.clone();
-            let router = GlobalRouter::new(router_config);
-            let mut route_outcome: Option<RoutingOutcome> = None;
-            let mut route_centers: Vec<rdp_geom::Point> =
-                vec![rdp_geom::Point::ORIGIN; design.nodes().len()];
-            let inflation_clock = BudgetClock::new(opts.budget.inflation_wall);
-            for round in start_round..opts.inflation_rounds {
-                if cancelled() {
-                    // Stop at the round boundary: the latest checkpoint
-                    // (global_place or the previous round) resumes here.
-                    interrupted = true;
-                    break;
-                }
-                if inflation_clock.exhausted()
-                    || flow_clock.exhausted()
-                    || crate::faultinject::fire_inflation_budget(round)
-                {
-                    trace.record_event(RecoveryEvent::BudgetTruncated {
-                        scope: "inflation".into(),
-                        at_round: round,
-                    });
-                    degraded_stage.get_or_insert_with(|| format!("inflate{round}"));
-                    break;
-                }
-                model.write_back(&mut placement);
-                let mut source = schedule.source_for(round, opts.inflation_rounds);
-                if router_degraded && source == CongestionSource::Router {
-                    source = CongestionSource::Probabilistic;
-                }
-                trace.set_estimator_tier(source.label());
-                let t_cong = Instant::now();
-                let mut dirty_nets = 0usize;
-                let mut router_fallback = false;
-                // Holds the collapsed planar view when the router ran in
-                // layered (3-D) mode: the inflation and net-weighting
-                // consumers are defined over the 2-D gcell grid.
-                let mut projected_grid: Option<RouteGrid> = None;
-                let grid: &RouteGrid = match source {
-                    CongestionSource::Router => {
-                        // True routed congestion: full route on the first
-                        // router round, incremental reroute of just the
-                        // moved cells afterwards.
-                        let mut outcome = match route_outcome.take() {
-                            None => router.route(design, &placement),
-                            Some(prev) => {
-                                let moved: Vec<NodeId> = design
-                                    .node_ids()
-                                    .filter(|&id| {
-                                        placement.center(id) != route_centers[id.index()]
-                                    })
-                                    .collect();
-                                router.reroute_incremental(&prev, design, &placement, &moved)
-                            }
-                        };
-                        dirty_nets = outcome.dirty_nets;
-                        for id in design.node_ids() {
-                            route_centers[id.index()] = placement.center(id);
-                        }
-                        if outcome.budget_truncated
-                            || crate::faultinject::fire_router_budget(round)
-                        {
-                            // The router returned its current overflow
-                            // state; it is still a usable congestion
-                            // picture for this round, but later router
-                            // rounds fall back to the cheap estimator
-                            // rather than keep paying for a router that
-                            // cannot finish.
-                            trace.record_event(RecoveryEvent::CongestionFallback {
-                                round,
-                                reason: "router budget".into(),
-                            });
-                            degraded_stage.get_or_insert_with(|| format!("inflate{round}"));
-                            router_fallback = true;
-                            router_degraded = true;
-                        }
-                        crate::faultinject::corrupt_congestion(&mut outcome.grid, round);
-                        let routed = &route_outcome.insert(outcome).grid;
-                        if routed.has_vias() {
-                            &*projected_grid.insert(routed.project_2d())
-                        } else {
-                            routed
-                        }
-                    }
-                    CongestionSource::Learned => {
-                        let grid = slot_grid(&mut congestion_grid, design, &placement);
-                        rdp_route::learned::predict_into(
-                            grid,
-                            design,
-                            &placement,
-                            opts.routability_opts.weights(),
-                            &opts.gp.parallelism,
-                        );
-                        crate::faultinject::corrupt_congestion(grid, round);
-                        &*grid
-                    }
-                    CongestionSource::Probabilistic => {
-                        let grid =
-                            refresh_congestion(&mut congestion_grid, design, &placement, &opts);
-                        crate::faultinject::corrupt_congestion(grid, round);
-                        &*grid
-                    }
-                };
-                let congestion_time = t_cong.elapsed();
-                // Corruption canary: non-finite grid state must neither
-                // inflate areas (inflate() skips it cell-wise) nor seed
-                // the next round's warm start (handled below, after the
-                // grid borrow ends).
-                let grid_corrupted = grid.non_finite_edges() > 0;
-                let mut touched = 0usize;
-                if opts.inflate_cells {
-                    let mut stats = inflate(&mut model, grid, opts.inflation);
-                    stats.source = source;
-                    stats.dirty_nets = dirty_nets;
-                    stats.congestion_time = congestion_time;
-                    stats.congestion_fallback = router_fallback || grid_corrupted;
-                    touched += stats.inflated;
-                    inflation_stats.push(stats);
-                }
-                if opts.net_weighting {
-                    touched += crate::net_weighting::apply_congestion_weights(
-                        &mut model,
-                        grid,
-                        &base_weights,
-                        opts.net_weighting_config,
-                    );
-                }
-                if grid_corrupted {
-                    // Discard the poisoned warm state: the next router
-                    // round (if any) routes from scratch on a fresh grid,
-                    // and the estimator grid is rebuilt on next use.
-                    trace.record_event(RecoveryEvent::CongestionFallback {
-                        round,
-                        reason: "corrupt grid".into(),
-                    });
-                    degraded_stage.get_or_insert_with(|| format!("inflate{round}"));
-                    route_outcome = None;
-                    congestion_grid = None;
-                }
-                if touched == 0 {
-                    break;
-                }
-                match run_global_place(
-                    &mut model,
-                    gp_regions,
-                    &blocked,
-                    &GpOptions {
-                        max_outer: (opts.gp.max_outer / 2).max(4),
-                        ..opts.gp.clone()
-                    },
-                    &mut trace,
-                    &format!("gp/inflate{round}"),
-                ) {
-                    Ok(out) => {
-                        if let Some(stats) = inflation_stats.last_mut() {
-                            stats.recoveries = out.recoveries;
-                        }
-                        gp_outcome = out;
-                        model.write_back(&mut placement);
-                        rounds_done = round + 1;
-                        save_checkpoint(
-                            &mut checkpoint,
-                            sink.as_deref_mut(),
-                            &mut trace,
-                            &format!("inflate{round}"),
-                            design,
-                            &placement,
-                            false,
-                            &model.area,
-                            rounds_done,
-                            gp_outcome,
-                        );
-                    }
-                    Err(div) => {
-                        // The round's GP diverged beyond recovery: roll the
-                        // placement back to the last feasible checkpoint
-                        // and stop inflating — downstream stages continue
-                        // from the restored state.
-                        gp_outcome = div.best;
-                        degraded_stage.get_or_insert_with(|| div.stage.clone());
-                        if let Some(cp) = &checkpoint {
-                            placement = cp.placement.clone();
-                            for i in 0..model.node_of.len() {
-                                model.set_pos(i, placement.center(model.node_of[i]));
-                            }
-                            restored_from = Some(cp.stage.clone());
-                            trace.record_event(RecoveryEvent::CheckpointRestored {
-                                failed_stage: div.stage,
-                                from: cp.stage.clone(),
-                            });
-                        }
-                        if let Some(stats) = inflation_stats.last_mut() {
-                            stats.recoveries = div.retries;
-                            stats.restored = restored_from.is_some();
-                        }
-                        break;
-                    }
-                }
-            }
-            if opts.net_weighting {
-                crate::net_weighting::reset_weights(&mut model, &base_weights);
-            }
-            trace.set_estimator_tier("");
-            trace.record_stage("routability", t.elapsed());
+    /// Global placement: the multilevel V-cycle, the finest-level pass and
+    /// macro rotation.
+    fn global_place(&mut self) -> Result<Step, PlaceError> {
+        let opts = self.opts;
+        let t = Instant::now();
+        if opts.multilevel {
+            self.v_cycle();
         }
-        if interrupted {
-            let cp = checkpoint.expect("checkpoint exists inside the routability loop");
-            return Ok(FlowProgress::Interrupted(cp));
-        }
-        model.write_back(&mut placement);
-
-        // --- Legalization. ---
-        // Resuming from the legal checkpoint skips re-legalization: the
-        // placement is already row-legal, and re-running the packer on its
-        // own output is not guaranteed to be a bitwise no-op. The resumed
-        // result then reports default (zero) legalization stats.
-        let legalize_stats = if resume_at_legalize {
-            LegalizeStats::default()
-        } else {
-            let t = Instant::now();
-            let stats =
-                legalize_with_displacement_par(design, &mut placement, &opts.gp.parallelism);
-            trace.record_stage("legalize", t.elapsed());
-            save_checkpoint(
-                &mut checkpoint,
-                sink.as_deref_mut(),
-                &mut trace,
-                "legalize",
-                design,
-                &placement,
-                true,
-                &model.area,
-                rounds_done,
-                gp_outcome,
-            );
-            stats
-        };
-        if cancelled() {
-            let cp = checkpoint.expect("checkpoint exists after legalization");
-            return Ok(FlowProgress::Interrupted(cp));
-        }
-
-        // --- Detailed placement. ---
-        let detail_stats = if opts.detailed && flow_clock.exhausted() {
-            // Flow budget spent: skip the (optional) polish stage; the
-            // legalized checkpoint above is the deliverable.
-            trace.record_event(RecoveryEvent::BudgetTruncated {
-                scope: "flow".into(),
-                at_round: opts.inflation_rounds,
+        // On divergence the model holds its last finite iterate — usable,
+        // just not converged. Continue the flow degraded.
+        self.gp_outcome = Some(self.gp("gp/final", &opts.gp).unwrap_or_else(|div| div.best));
+        // Paranoia: the optimizer contract guarantees a finite iterate on
+        // both the Ok and Err paths; a non-finite position here means the
+        // contract was violated upstream and nothing checkpointable exists.
+        if self.model.pos_x.iter().chain(&self.model.pos_y).any(|v| !v.is_finite()) {
+            return Err(PlaceError::Diverged {
+                stage: "gp/final".into(),
+                retries: opts.gp.recovery.max_retries,
             });
-            degraded_stage.get_or_insert_with(|| "detailed".into());
-            None
-        } else if opts.detailed {
+        }
+        self.trace.record_stage(Stage::GlobalPlace.name(), t.elapsed());
+        if opts.macro_rotation {
+            self.rotate_macros();
+        }
+        // The checkpoint holds the converged (or best recovered) global
+        // placement, before the routability loop perturbs it.
+        self.model.write_back(&mut self.placement);
+        Ok(Step::Checkpoint(Stage::Inflate(0)))
+    }
+
+    /// The downward half of the multilevel V-cycle: place the coarsest
+    /// clustering, then project each level onto the next finer model and
+    /// refine, down to the finest model. Divergence on a level is
+    /// non-fatal: the level only provides a warm start, and the model is
+    /// left at its last finite iterate either way.
+    fn v_cycle(&mut self) {
+        let opts = self.opts;
+        let mut levels = build_levels(&self.model, opts.cluster_limit);
+        let Some(coarsest) = levels.last() else { return };
+        let coarse_opts = GpOptions { max_outer: opts.gp.max_outer / 2 + 2, ..opts.gp.clone() };
+        let mut finest = Some(std::mem::replace(&mut self.model, coarsest.coarse.clone()));
+        let _ = self.gp(&format!("gp/level{}", levels.len()), &coarse_opts);
+        for li in (0..levels.len()).rev() {
+            levels[li].coarse.set_positions(&self.model.positions());
+            self.model = match li {
+                0 => finest.take().expect("the finest level comes last"),
+                _ => levels[li - 1].coarse.clone(),
+            };
+            project_down(&mut self.model, &levels[li]);
+            let level_opts = if li == 0 { &opts.gp } else { &coarse_opts };
+            let _ = self.gp(&format!("gp/level{li}"), level_opts);
+        }
+    }
+
+    /// Re-selects macro orientations against the global placement; when any
+    /// changed (moving pin offsets and macro dims), rebuilds the model from
+    /// the updated placement and re-polishes.
+    fn rotate_macros(&mut self) {
+        let (design, opts) = (self.design, self.opts);
+        let t = Instant::now();
+        self.model.write_back(&mut self.placement);
+        let placement = &mut self.placement;
+        let changed = match opts.rotation_mode {
+            RotationMode::Discrete => optimize_macro_orientations(design, placement, true),
+            RotationMode::Continuous => {
+                // Continuous angles, snapped; then a flip-only discrete pass
+                // decides mirroring (the angle cannot express it).
+                let gamma = 2.0 * design.row_height().unwrap_or(10.0);
+                let out = crate::rotation::optimize_rotation_continuous(&self.model, gamma, 100);
+                let mut changed = 0;
+                for (a, &q) in out.angles.iter().zip(&out.snapped) {
+                    let node = self.model.node_of[a.obj as usize];
+                    let orient = crate::rotation::orient_of_quarter(q);
+                    if placement.orient(node) != orient {
+                        placement.set_orient(node, orient);
+                        changed += 1;
+                    }
+                }
+                changed + optimize_macro_orientations(design, placement, false)
+            }
+        };
+        if changed > 0 {
+            self.model = Model::from_design(design, &self.placement);
+            let polish = GpOptions { max_outer: 4, ..opts.gp.clone() };
+            self.gp_outcome = Some(self.gp("gp/rotation", &polish).unwrap_or_else(|div| div.best));
+        }
+        self.trace.record_stage("macro_rotation", t.elapsed());
+    }
+
+    /// One routability round: estimate congestion with the round's tier,
+    /// inflate congested cells and/or reweight congested nets, and re-place.
+    /// The first round opens the loop; a round past the last, a spent
+    /// inflation budget, a round that changes nothing and a diverged
+    /// re-place each close it.
+    fn inflate_round(&mut self, round: usize) -> Step {
+        let (design, opts) = (self.design, self.opts);
+        if !opts.routability || opts.inflation_rounds == 0 {
+            return Step::Goto(Stage::Legalize);
+        }
+        let lp = self
+            .routability
+            .get_or_insert_with(|| RoutabilityLoop::new(design, opts, &self.model.net_weight));
+        if round >= opts.inflation_rounds {
+            return self.end_routability();
+        }
+        if lp.clock.exhausted()
+            || self.flow_clock.exhausted()
+            || crate::faultinject::fire_inflation_budget(round)
+        {
+            self.trace.record_event(RecoveryEvent::BudgetTruncated {
+                scope: "inflation".into(),
+                at_round: round,
+            });
+            self.degraded_stage.get_or_insert_with(|| Stage::Inflate(round).name());
+            return self.end_routability();
+        }
+        self.model.write_back(&mut self.placement);
+        let mut source = opts.routability_opts.schedule.source_for(round, opts.inflation_rounds);
+        if lp.router.degraded && source == CongestionSource::Router {
+            source = CongestionSource::Probabilistic;
+        }
+        self.trace.set_estimator_tier(source.label());
+        let t_cong = Instant::now();
+        let (grid, dirty_nets, router_fallback) = round_congestion(
+            &mut lp.router,
+            &mut self.congestion_grid,
+            source,
+            round,
+            design,
+            &self.placement,
+            opts,
+        );
+        let congestion_time = t_cong.elapsed();
+        if router_fallback {
+            // The router returned its current overflow state: still a
+            // usable picture for this round, but later router rounds fall
+            // back to the cheap estimator rather than keep paying for a
+            // router that cannot finish.
+            self.trace.record_event(RecoveryEvent::CongestionFallback {
+                round,
+                reason: "router budget".into(),
+            });
+            self.degraded_stage.get_or_insert_with(|| Stage::Inflate(round).name());
+        }
+        // Corruption canary: non-finite grid state must neither inflate
+        // areas (inflate() skips it cell-wise) nor seed the next round's
+        // warm start (dropped below).
+        let grid_corrupted = grid.non_finite_edges() > 0;
+        let mut touched = 0usize;
+        if opts.inflate_cells {
+            let mut stats = inflate(&mut self.model, &grid, opts.inflation);
+            stats.source = source;
+            stats.dirty_nets = dirty_nets;
+            stats.congestion_time = congestion_time;
+            stats.congestion_fallback = router_fallback || grid_corrupted;
+            touched += stats.inflated;
+            self.inflation_stats.push(stats);
+        }
+        if opts.net_weighting {
+            touched += crate::net_weighting::apply_congestion_weights(
+                &mut self.model,
+                &grid,
+                &lp.base_weights,
+                opts.net_weighting_config,
+            );
+        }
+        if grid_corrupted {
+            // The next router round routes from scratch on a fresh grid,
+            // and the estimator grid is rebuilt on next use.
+            self.trace.record_event(RecoveryEvent::CongestionFallback {
+                round,
+                reason: "corrupt grid".into(),
+            });
+            self.degraded_stage.get_or_insert_with(|| Stage::Inflate(round).name());
+            lp.router.routed = None;
+            self.congestion_grid = None;
+        }
+        if touched == 0 {
+            return self.end_routability();
+        }
+        let replace = GpOptions { max_outer: (opts.gp.max_outer / 2).max(4), ..opts.gp.clone() };
+        match self.gp(&format!("gp/inflate{round}"), &replace) {
+            Ok(out) => {
+                if let Some(stats) = self.inflation_stats.last_mut() {
+                    stats.recoveries = out.recoveries;
+                }
+                self.gp_outcome = Some(out);
+                self.model.write_back(&mut self.placement);
+                self.rounds_done = round + 1;
+                Step::Checkpoint(Stage::Inflate(round + 1))
+            }
+            Err(div) => {
+                // Diverged beyond recovery: roll the placement back to the
+                // last feasible checkpoint and stop inflating; downstream
+                // stages continue from the restored state.
+                self.gp_outcome = Some(div.best);
+                if let Some(cp) = &self.checkpoint {
+                    self.placement = cp.placement.clone();
+                    for i in 0..self.model.node_of.len() {
+                        self.model.set_pos(i, self.placement.center(self.model.node_of[i]));
+                    }
+                    self.restored_from = Some(cp.stage.clone());
+                    self.trace.record_event(RecoveryEvent::CheckpointRestored {
+                        failed_stage: div.stage,
+                        from: cp.stage.clone(),
+                    });
+                }
+                if let Some(stats) = self.inflation_stats.last_mut() {
+                    stats.recoveries = div.retries;
+                    stats.restored = self.restored_from.is_some();
+                }
+                self.end_routability()
+            }
+        }
+    }
+
+    /// Closes the routability loop if this run opened it: restores the
+    /// base net weights and records the loop's wall time.
+    fn end_routability(&mut self) -> Step {
+        if let Some(lp) = self.routability.take() {
+            if self.opts.net_weighting {
+                crate::net_weighting::reset_weights(&mut self.model, &lp.base_weights);
+            }
+            self.trace.set_estimator_tier("");
+            self.trace.record_stage("routability", lp.started.elapsed());
+        }
+        Step::Goto(Stage::Legalize)
+    }
+
+    fn legalize(&mut self) -> Step {
+        self.model.write_back(&mut self.placement);
+        let t = Instant::now();
+        self.legalize_stats = legalize_with_displacement_par(
+            self.design,
+            &mut self.placement,
+            &self.opts.gp.parallelism,
+        );
+        self.trace.record_stage(Stage::Legalize.name(), t.elapsed());
+        Step::Checkpoint(Stage::Detail)
+    }
+
+    fn detail(&mut self) -> Step {
+        let (design, opts) = (self.design, self.opts);
+        if opts.detailed {
             let t = Instant::now();
             let congestion = if opts.routability {
-                Some(&*refresh_congestion(&mut congestion_grid, design, &placement, &opts))
+                Some(&*refresh_congestion(&mut self.congestion_grid, design, &self.placement, opts))
             } else {
                 None
             };
-            let stats = detailed_place(design, &mut placement, congestion, opts.detail);
-            trace.record_stage("detailed", t.elapsed());
-            Some(stats)
-        } else {
-            None
-        };
+            self.detail_stats =
+                Some(detailed_place(design, &mut self.placement, congestion, opts.detail));
+            self.trace.record_stage(Stage::Detail.name(), t.elapsed());
+        }
+        Step::Done
+    }
 
-        // Last line of defense: if any downstream stage leaked a
-        // non-finite coordinate, roll back to the legalized checkpoint
-        // rather than hand the caller a poisoned placement.
-        if design.movable_ids().any(|id| !placement.center(id).is_finite()) {
-            if let Some(cp) = checkpoint.as_ref().filter(|cp| cp.legal) {
-                placement = cp.placement.clone();
-                restored_from = Some(cp.stage.clone());
-                degraded_stage.get_or_insert_with(|| "detailed".into());
-                trace.record_event(RecoveryEvent::CheckpointRestored {
-                    failed_stage: "detailed".into(),
+    /// Snapshots the placement as the latest [`FlowCheckpoint`] (one per
+    /// completed stage, latest wins — the flow is monotonic, so newest
+    /// feasible is best), records the save in the trace and offers it to
+    /// the caller's checkpoint sink.
+    fn save_checkpoint(&mut self, stage: Stage) {
+        let hpwl = rdp_db::hpwl::total_hpwl(self.design, &self.placement);
+        self.trace.record_event(RecoveryEvent::CheckpointSaved { stage: stage.name(), hpwl });
+        let cp = FlowCheckpoint {
+            stage: stage.name(),
+            placement: self.placement.clone(),
+            hpwl,
+            legal: stage == Stage::Legalize,
+            density_area: self.model.area.clone(),
+            rounds_done: self.rounds_done,
+            gp: self.gp_outcome.expect("global placement precedes every checkpoint"),
+        };
+        if let Some(sink) = self.sink.as_mut() {
+            sink(&cp);
+        }
+        self.checkpoint = Some(cp);
+    }
+
+    /// The result, after a last line of defense: if any stage leaked a
+    /// non-finite coordinate, roll back to the legalized checkpoint rather
+    /// than hand the caller a poisoned placement.
+    fn finish(mut self, t_start: Instant) -> PlaceResult {
+        let design = self.design;
+        if design.movable_ids().any(|id| !self.placement.center(id).is_finite()) {
+            if let Some(cp) = self.checkpoint.as_ref().filter(|cp| cp.legal) {
+                self.placement = cp.placement.clone();
+                self.restored_from = Some(cp.stage.clone());
+                self.degraded_stage.get_or_insert_with(|| Stage::Detail.name());
+                self.trace.record_event(RecoveryEvent::CheckpointRestored {
+                    failed_stage: Stage::Detail.name(),
                     from: cp.stage.clone(),
                 });
             }
         }
-
-        let degraded = degraded_stage.map(|stage| DegradedResult {
+        let degraded = self.degraded_stage.map(|stage| DegradedResult {
             stage,
-            restored_from,
-            events: trace.events.clone(),
+            restored_from: self.restored_from,
+            events: self.trace.events.clone(),
         });
-        let hpwl = rdp_db::hpwl::total_hpwl(design, &placement);
-        Ok(FlowProgress::Completed(Box::new(PlaceResult {
-            placement,
-            hpwl,
-            gp: gp_outcome,
-            legalize: legalize_stats,
-            detail: detail_stats,
-            inflation: inflation_stats,
-            trace,
+        PlaceResult {
+            hpwl: rdp_db::hpwl::total_hpwl(design, &self.placement),
+            placement: self.placement,
+            gp: self.gp_outcome.expect("global placement ran or was restored"),
+            legalize: self.legalize_stats,
+            detail: self.detail_stats,
+            inflation: self.inflation_stats,
+            trace: self.trace,
             degraded,
             elapsed: t_start.elapsed(),
-        })))
+        }
     }
 }
 
-/// Builds the shared congestion grid on first use, then refreshes its
-/// usage against the current `placement`.
-///
-/// Capacities depend only on fixed-node blockages, which never move during
-/// placement, so carving them once is enough; every refresh clears the
-/// usage and re-deposits, producing bitwise the same estimate as a freshly
-/// built grid.
-fn refresh_congestion<'a>(
-    slot: &'a mut Option<rdp_route::RouteGrid>,
+impl RoutabilityLoop {
+    fn new(design: &Design, opts: &PlaceOptions, net_weight: &[f64]) -> Self {
+        // The router shares the flow's thread-count knob.
+        let mut config = opts.routability_opts.router.clone();
+        config.parallelism = opts.gp.parallelism.clone();
+        RoutabilityLoop {
+            started: Instant::now(),
+            clock: BudgetClock::new(opts.budget.inflation_wall),
+            base_weights: net_weight.to_vec(),
+            router: RouterTier {
+                router: GlobalRouter::new(config),
+                routed: None,
+                routed_at: vec![Point::ORIGIN; design.nodes().len()],
+                degraded: false,
+            },
+        }
+    }
+}
+
+/// One round's congestion picture from `source`, with the router tier's
+/// dirty-net count and whether the router blew its budget. The router tier
+/// routes in full on its first round and afterwards reroutes just the cells
+/// that moved since; a layered (3-D) route is collapsed to the planar view
+/// the inflation and net-weighting consumers are defined over.
+fn round_congestion<'g>(
+    tier: &'g mut RouterTier,
+    shared: &'g mut Option<RouteGrid>,
+    source: CongestionSource,
+    round: usize,
     design: &Design,
     placement: &Placement,
     opts: &PlaceOptions,
-) -> &'a mut rdp_route::RouteGrid {
-    let grid = slot_grid(slot, design, placement);
+) -> (Cow<'g, RouteGrid>, usize, bool) {
+    let grid = match source {
+        CongestionSource::Router => {
+            let mut outcome = match tier.routed.take() {
+                None => tier.router.route(design, placement),
+                Some(prev) => {
+                    let moved: Vec<NodeId> = design
+                        .node_ids()
+                        .filter(|&id| placement.center(id) != tier.routed_at[id.index()])
+                        .collect();
+                    tier.router.reroute_incremental(&prev, design, placement, &moved)
+                }
+            };
+            for id in design.node_ids() {
+                tier.routed_at[id.index()] = placement.center(id);
+            }
+            let budget_blown =
+                outcome.budget_truncated || crate::faultinject::fire_router_budget(round);
+            tier.degraded |= budget_blown;
+            crate::faultinject::corrupt_congestion(&mut outcome.grid, round);
+            let dirty_nets = outcome.dirty_nets;
+            let routed = &tier.routed.insert(outcome).grid;
+            let grid = match routed.has_vias() {
+                true => Cow::Owned(routed.project_2d()),
+                false => Cow::Borrowed(routed),
+            };
+            return (grid, dirty_nets, budget_blown);
+        }
+        CongestionSource::Learned => {
+            let grid = shared_grid(shared, design, placement);
+            rdp_route::learned::predict_into(
+                grid,
+                design,
+                placement,
+                opts.routability_opts.weights(),
+                &opts.gp.parallelism,
+            );
+            grid
+        }
+        CongestionSource::Probabilistic => refresh_congestion(shared, design, placement, opts),
+    };
+    crate::faultinject::corrupt_congestion(grid, round);
+    (Cow::Borrowed(grid), 0, false)
+}
+
+/// A resume checkpoint must structurally fit the design and be finite —
+/// anything else is a caller error (wrong design, corrupt file), not a
+/// recoverable flow state.
+fn check_resume(design: &Design, cp: &FlowCheckpoint) -> Result<(), PlaceError> {
+    let num_objects = design.movable_ids().count();
+    let reason = if cp.placement.len() != design.nodes().len() {
+        format!("checkpoint has {} nodes, design has {}", cp.placement.len(), design.nodes().len())
+    } else if cp.density_area.len() != num_objects {
+        format!(
+            "checkpoint has {} density areas, design has {} movable objects",
+            cp.density_area.len(),
+            num_objects
+        )
+    } else if cp.placement.centers().iter().any(|c| !c.is_finite())
+        || cp.density_area.iter().any(|a| !a.is_finite())
+    {
+        "checkpoint contains non-finite state".into()
+    } else {
+        return Ok(());
+    };
+    Err(PlaceError::BadResume { reason })
+}
+
+/// Symmetry-breaking jitter around the initial positions. It is an input
+/// of global placement, so a resumed run (which restarts after it) never
+/// re-applies it.
+fn jitter(design: &Design, placement: &mut Placement, seed: u64) {
+    let mut rng = rdp_geom::rng::Rng::seed_from_u64(seed);
+    let die = design.die();
+    let jx = die.width() * 0.05;
+    let jy = die.height() * 0.05;
+    for id in design.movable_ids() {
+        let c = placement.center(id);
+        let p = Point::new(
+            rdp_geom::clamp(c.x + rng.gen_range(-jx..jx), die.xl, die.xh),
+            rdp_geom::clamp(c.y + rng.gen_range(-jy..jy), die.yl, die.yh),
+        );
+        placement.set_center(id, p);
+    }
+}
+
+/// Refreshes the shared grid with the probabilistic estimate.
+fn refresh_congestion<'a>(
+    slot: &'a mut Option<RouteGrid>,
+    design: &Design,
+    placement: &Placement,
+    opts: &PlaceOptions,
+) -> &'a mut RouteGrid {
+    let grid = shared_grid(slot, design, placement);
     rdp_route::pattern::estimate_congestion_into(grid, design, placement, &opts.gp.parallelism);
     grid
 }
 
-/// The shared congestion grid, built on first use. The probabilistic and
-/// learned tiers both fully clear and re-deposit the usage, so they can
-/// alternate on the same grid without interference.
-fn slot_grid<'a>(
-    slot: &'a mut Option<rdp_route::RouteGrid>,
+/// The shared estimator grid, built on first use. Capacities depend only
+/// on fixed-node blockages, which never move, so carving them once is
+/// enough. The probabilistic and learned tiers both clear and re-deposit
+/// the usage, so a reused grid estimates bitwise the same as a fresh one
+/// and the tiers can alternate on it.
+fn shared_grid<'a>(
+    slot: &'a mut Option<RouteGrid>,
     design: &Design,
     placement: &Placement,
-) -> &'a mut rdp_route::RouteGrid {
-    slot.get_or_insert_with(|| rdp_route::RouteGrid::from_design(design, placement))
-}
-
-/// Snapshots `placement` as the latest [`FlowCheckpoint`] and records the
-/// save in the trace (checkpoint granularity: one per completed stage,
-/// latest wins — the flow is monotonic, so newest feasible is best). The
-/// snapshot also captures the resume state (density areas, completed
-/// rounds, GP outcome) and is offered to the caller's checkpoint sink.
-#[allow(clippy::too_many_arguments)]
-fn save_checkpoint(
-    slot: &mut Option<FlowCheckpoint>,
-    sink: Option<&mut (dyn FnMut(&FlowCheckpoint) + Send + '_)>,
-    trace: &mut Trace,
-    stage: &str,
-    design: &Design,
-    placement: &Placement,
-    legal: bool,
-    density_area: &[f64],
-    rounds_done: usize,
-    gp: GpOutcome,
-) {
-    let hpwl = rdp_db::hpwl::total_hpwl(design, placement);
-    trace.record_event(RecoveryEvent::CheckpointSaved { stage: stage.to_owned(), hpwl });
-    let cp = FlowCheckpoint {
-        stage: stage.to_owned(),
-        placement: placement.clone(),
-        hpwl,
-        legal,
-        density_area: density_area.to_vec(),
-        rounds_done,
-        gp,
-    };
-    if let Some(sink) = sink {
-        sink(&cp);
-    }
-    *slot = Some(cp);
+) -> &'a mut RouteGrid {
+    slot.get_or_insert_with(|| RouteGrid::from_design(design, placement))
 }
 
 #[cfg(test)]
@@ -1462,7 +1449,9 @@ mod tests {
     #[test]
     fn router_congestion_mode_is_legal_and_reports_dirty_nets() {
         let bench = generate(&GeneratorConfig::tiny("prc", 46)).unwrap();
-        let result = Placer::new(&bench.design, PlaceOptions::fast().with_router_congestion())
+        let opts = PlaceOptions::fast()
+            .with_estimator(CongestionSchedule::Uniform(CongestionSource::Router));
+        let result = Placer::new(&bench.design, opts)
             .with_initial(bench.placement.clone())
             .run()
             .unwrap();
@@ -1485,7 +1474,9 @@ mod tests {
         let run = |threads: usize| {
             Placer::new(
                 &bench.design,
-                PlaceOptions::fast().with_router_congestion().with_threads(threads),
+                PlaceOptions::fast()
+                    .with_estimator(CongestionSchedule::Uniform(CongestionSource::Router))
+                    .with_threads(threads),
             )
             .with_initial(bench.placement.clone())
             .run()
@@ -1546,23 +1537,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_router_bool_matches_uniform_router_schedule() {
-        let bench = generate(&GeneratorConfig::tiny("psh", 50)).unwrap();
-        let run = |opts: PlaceOptions| {
-            Placer::new(&bench.design, opts)
-                .with_initial(bench.placement.clone())
-                .run()
-                .unwrap()
-        };
-        let via_shim = run(PlaceOptions::fast().with_router_congestion());
-        let via_schedule = run(PlaceOptions::fast().with_estimator(CongestionSchedule::Uniform(
-            CongestionSource::Router,
-        )));
-        assert_eq!(via_shim.hpwl.to_bits(), via_schedule.hpwl.to_bits());
-        assert!(via_shim.inflation.iter().all(|s| s.source == CongestionSource::Router));
-    }
-
-    #[test]
     fn schedule_source_for_semantics() {
         let auto = CongestionSchedule::auto();
         assert_eq!(auto.source_for(0, 3), CongestionSource::Learned);
@@ -1585,27 +1559,11 @@ mod tests {
             Some(CongestionSchedule::Uniform(CongestionSource::Learned))
         );
         assert_eq!(CongestionSchedule::parse("bogus"), None);
-        // An explicit schedule wins over the deprecated bool; the bool
-        // alone maps to a uniform router schedule.
-        let shim = GpRoutabilityOptions::default();
-        assert_eq!(shim.effective_schedule(), CongestionSchedule::default());
-        let mut shim = GpRoutabilityOptions::default();
-        #[allow(deprecated)]
-        {
-            shim.use_router_congestion = true;
-        }
-        assert_eq!(
-            shim.effective_schedule(),
-            CongestionSchedule::Uniform(CongestionSource::Router)
-        );
-        let explicit = shim
+        let derived = GpRoutabilityOptions::default()
             .to_builder()
-            .schedule(CongestionSchedule::Uniform(CongestionSource::Learned))
+            .source(CongestionSource::Learned)
             .build();
-        assert_eq!(
-            explicit.effective_schedule(),
-            CongestionSchedule::Uniform(CongestionSource::Learned)
-        );
+        assert_eq!(derived.schedule, CongestionSchedule::Uniform(CongestionSource::Learned));
     }
 
     #[test]

@@ -12,10 +12,16 @@
 //!   [`DegradedResult`] / [`PlaceError`] — never a panic, never a
 //!   non-finite coordinate.
 
-use rdp_core::{FlowBudget, PlaceError, PlaceOptions, PlaceResult, Placer, RecoveryEvent};
+use rdp_core::{
+    CongestionSchedule, CongestionSource, FlowBudget, PlaceError, PlaceOptions, PlaceResult, Placer,
+    RecoveryEvent,
+};
 use rdp_db::validate::check_legal;
 use rdp_gen::{generate, GeneratedBench, GeneratorConfig};
 use std::time::Duration;
+
+/// The router tier of the estimator ladder on every inflation round.
+const ROUTER: CongestionSchedule = CongestionSchedule::Uniform(CongestionSource::Router);
 
 fn bench(name: &str, seed: u64) -> GeneratedBench {
     generate(&GeneratorConfig::tiny(name, seed)).unwrap()
@@ -69,7 +75,7 @@ fn fault_free_run_matches_golden_bits_at_every_thread_count() {
             let b = bench(name, seed);
             let mut opts = PlaceOptions::fast().with_threads(threads);
             if router {
-                opts = opts.with_router_congestion();
+                opts = opts.with_estimator(ROUTER);
             }
             let result = Placer::new(&b.design, opts)
                 .with_initial(b.placement.clone())
@@ -101,7 +107,7 @@ fn fault_free_run_matches_golden_bits_at_every_thread_count() {
 #[test]
 fn zero_router_budget_falls_back_to_estimator() {
     let b = congested_bench("rz", 8);
-    let mut opts = PlaceOptions::fast().with_router_congestion();
+    let mut opts = PlaceOptions::fast().with_estimator(ROUTER);
     opts.routability_opts.router.time_budget = Some(Duration::ZERO);
     let result = Placer::new(&b.design, opts)
         .with_initial(b.placement.clone())
@@ -319,7 +325,7 @@ mod injected {
         let b = congested_bench("ccr", 8);
         let (result, fired) = run_with_faults(
             &b,
-            PlaceOptions::fast().with_router_congestion(),
+            PlaceOptions::fast().with_estimator(ROUTER),
             vec![Fault::CorruptCongestion { round: 0, edges: 2 }],
         );
         let result = result.unwrap();
@@ -333,7 +339,7 @@ mod injected {
         let b = bench("rb", 45);
         let (result, fired) = run_with_faults(
             &b,
-            PlaceOptions::fast().with_router_congestion(),
+            PlaceOptions::fast().with_estimator(ROUTER),
             vec![Fault::RouterBudgetExhausted { round: 0 }],
         );
         let result = result.unwrap();
@@ -497,7 +503,7 @@ mod injected {
             let b = bench("sw", 48);
             let mut opts = PlaceOptions::fast();
             if router {
-                opts = opts.with_router_congestion();
+                opts = opts.with_estimator(ROUTER);
             }
             let (result, _fired) = run_with_faults(&b, opts, faults.clone());
             match result {

@@ -7,10 +7,13 @@
 //! mode (the router-congestion mode carries non-checkpointed warm routing
 //! state and is documented as resume-approximate).
 
-use rdp_core::{FlowCheckpoint, FlowProgress, PlaceError, PlaceOptions, Placer};
+use rdp_core::{
+    CongestionSchedule, CongestionSource, FlowCheckpoint, FlowProgress, GpDensityModel, GpSolver,
+    PlaceError, PlaceOptions, Placer,
+};
 use rdp_db::Placement;
 use rdp_gen::{generate, GeneratedBench, GeneratorConfig};
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn bench(name: &str, seed: u64) -> GeneratedBench {
@@ -45,38 +48,73 @@ fn baseline_with_checkpoints(
     (placement_bits(b, &result.placement), result.hpwl.to_bits(), cps)
 }
 
+/// Resumes `opts` from `cp` through the text round-trip, exactly as a
+/// restarted server would, and returns the final fingerprint.
+fn resume_bits(b: &GeneratedBench, opts: PlaceOptions, cp: &FlowCheckpoint) -> (Bits, u64) {
+    let restored = FlowCheckpoint::from_text(&cp.to_text()).unwrap();
+    let resumed = Placer::new(&b.design, opts).resume_from(restored).run().unwrap();
+    (placement_bits(b, &resumed.placement), resumed.hpwl.to_bits())
+}
+
 #[test]
 fn resume_from_each_stage_checkpoint_matches_uninterrupted_bitwise() {
     let b = bench("rsm", 71);
-    let (base_bits, base_hpwl, cps) = baseline_with_checkpoints(&b, PlaceOptions::fast());
-    // The fast flow saves at least global_place + one inflate + legalize.
-    assert!(cps.len() >= 3, "expected >= 3 checkpoints, got {}", cps.len());
-    assert!(cps.iter().any(|cp| cp.stage == "global_place"));
-    assert!(cps.iter().any(|cp| cp.legal), "legalize checkpoint missing");
+    let learned = CongestionSchedule::Uniform(CongestionSource::Learned);
+    for (name, opts) in [
+        ("fast", PlaceOptions::fast()),
+        (
+            "nesterov",
+            PlaceOptions::fast().with_solver(GpSolver::Nesterov, GpDensityModel::Electrostatic),
+        ),
+        ("learned", PlaceOptions::fast().with_estimator(learned)),
+    ] {
+        let (base_bits, base_hpwl, cps) = baseline_with_checkpoints(&b, opts.clone());
+        // The fast flow saves at least global_place + one inflate + legalize.
+        assert!(cps.len() >= 3, "expected >= 3 checkpoints, got {}", cps.len());
+        assert!(cps.iter().any(|cp| cp.stage == "global_place"));
+        assert!(cps.iter().any(|cp| cp.legal), "legalize checkpoint missing");
 
-    for cp in &cps {
-        for threads in [1usize, 2, 8] {
-            // Resume through the text round-trip, exactly as a restarted
-            // server would.
-            let restored = FlowCheckpoint::from_text(&cp.to_text()).unwrap();
-            let resumed = Placer::new(&b.design, PlaceOptions::fast().with_threads(threads))
-                .resume_from(restored)
-                .run()
-                .unwrap();
-            assert_eq!(
-                resumed.hpwl.to_bits(),
-                base_hpwl,
-                "hpwl mismatch resuming from `{}` at {} threads",
-                cp.stage,
-                threads
-            );
-            assert_eq!(
-                placement_bits(&b, &resumed.placement),
-                base_bits,
-                "placement mismatch resuming from `{}` at {} threads",
-                cp.stage,
-                threads
-            );
+        for cp in &cps {
+            for threads in [1usize, 2, 8] {
+                let (bits, hpwl) = resume_bits(&b, opts.clone().with_threads(threads), cp);
+                let at = format!("resuming {name} from `{}` at {threads} threads", cp.stage);
+                assert_eq!(hpwl, base_hpwl, "hpwl mismatch {at}");
+                assert_eq!(bits, base_bits, "placement mismatch {at}");
+            }
+        }
+    }
+}
+
+#[test]
+fn cancel_after_each_checkpoint_stops_there_and_resumes_bitwise() {
+    let b = bench("rsk", 76);
+    let (base_bits, base_hpwl, cps) = baseline_with_checkpoints(&b, PlaceOptions::fast());
+    for (k, expected) in cps.iter().enumerate() {
+        // The sink fires the token as the k-th checkpoint is saved: the
+        // driver polls it at the very next stage boundary.
+        let token = Arc::new(AtomicBool::new(false));
+        let fire = Arc::clone(&token);
+        let mut saved = 0;
+        let progress = Placer::new(&b.design, PlaceOptions::fast())
+            .with_initial(b.placement.clone())
+            .with_cancel(token)
+            .with_checkpoint_sink(move |_| {
+                saved += 1;
+                if saved == k + 1 {
+                    fire.store(true, Ordering::Relaxed);
+                }
+            })
+            .run_resumable()
+            .unwrap();
+        let FlowProgress::Interrupted(cp) = progress else {
+            panic!("cancel after checkpoint {k} (`{}`) must interrupt", expected.stage);
+        };
+        assert_eq!(cp.stage, expected.stage);
+        assert_eq!(cp.to_text(), expected.to_text(), "interrupted at `{}`", cp.stage);
+        for threads in [1usize, 2] {
+            let (bits, hpwl) = resume_bits(&b, PlaceOptions::fast().with_threads(threads), &cp);
+            assert_eq!(hpwl, base_hpwl, "hpwl mismatch resuming `{}` at {threads}", cp.stage);
+            assert_eq!(bits, base_bits, "placement mismatch resuming `{}` at {threads}", cp.stage);
         }
     }
 }

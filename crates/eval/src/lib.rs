@@ -42,6 +42,6 @@ pub mod session;
 pub mod suite;
 
 pub use cache::DesignCache;
-pub use runner::{run_flow, run_flow_with, FlowOutcome};
-pub use score::{score_placement, score_placement_with, ContestScore};
+pub use runner::{run_flow, FlowOutcome};
+pub use score::{score_placement, ContestScore};
 pub use session::EvalSession;

@@ -1,13 +1,12 @@
 //! Flow orchestration: place a benchmark, legalize (inside the placer),
 //! score against the contest router, and keep per-stage timing.
 //!
-//! The actual flow lives on [`EvalSession`]; the free functions here are
-//! the historical entry points, kept as thin wrappers.
+//! The actual flow lives on [`EvalSession`]; [`run_flow`] is the one-line
+//! entry point at the default scoring-router configuration.
 
 use crate::session::EvalSession;
 use rdp_core::{PlaceError, PlaceOptions};
 use rdp_gen::GeneratedBench;
-use rdp_route::RouterConfig;
 
 pub use crate::session::FlowOutcome;
 
@@ -19,21 +18,6 @@ pub use crate::session::FlowOutcome;
 /// Propagates [`PlaceError`] for unplaceable designs.
 pub fn run_flow(bench: &GeneratedBench, options: PlaceOptions) -> Result<FlowOutcome, PlaceError> {
     EvalSession::new(&bench.design).run_flow_on(bench, options)
-}
-
-/// Like [`run_flow`], but scoring with an explicit [`RouterConfig`].
-///
-/// # Errors
-///
-/// Propagates [`PlaceError`] for unplaceable designs.
-pub fn run_flow_with(
-    bench: &GeneratedBench,
-    options: PlaceOptions,
-    router: RouterConfig,
-) -> Result<FlowOutcome, PlaceError> {
-    EvalSession::new(&bench.design)
-        .with_router_config(router)
-        .run_flow_on(bench, options)
 }
 
 #[cfg(test)]

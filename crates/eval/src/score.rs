@@ -6,7 +6,7 @@
 
 use crate::session::EvalSession;
 use rdp_db::{Design, Placement};
-use rdp_route::{CongestionMetrics, RouterConfig};
+use rdp_route::CongestionMetrics;
 use std::time::Duration;
 
 /// A placement's contest score.
@@ -55,17 +55,6 @@ impl ContestScore {
 /// its default settings.
 pub fn score_placement(design: &Design, placement: &Placement) -> ContestScore {
     EvalSession::new(design).score(placement)
-}
-
-/// Like [`score_placement`], but with an explicit scoring-router
-/// configuration (thread count, iteration budget, cost knobs, layer
-/// mode).
-pub fn score_placement_with(
-    design: &Design,
-    placement: &Placement,
-    router: RouterConfig,
-) -> ContestScore {
-    EvalSession::new(design).with_router_config(router).score(placement)
 }
 
 #[cfg(test)]

@@ -1,10 +1,9 @@
 //! One configuration surface for everything that routes and scores.
 //!
-//! Before [`EvalSession`], every entry point grew a `_with` twin
-//! (`score_placement_with`, `run_flow_with`, …) and each of them threaded
-//! the same [`RouterConfig`] down by hand. The session owns that
-//! configuration once; route / measure / score / run-flow are then plain
-//! methods. The old free functions survive as thin wrappers.
+//! The session owns the scoring-router [`RouterConfig`] once; route /
+//! measure / score / run-flow are then plain methods. The free functions
+//! [`crate::score_placement`] and [`crate::run_flow`] are one-line
+//! shorthands for a default session.
 
 use crate::score::ContestScore;
 use rdp_core::{CongestionSchedule, PlaceError, PlaceOptions, PlaceResult, Placer};

@@ -73,16 +73,5 @@ pub fn route_and_measure(
     design: &rdp_db::Design,
     placement: &rdp_db::Placement,
 ) -> CongestionMetrics {
-    route_and_measure_with(design, placement, RouterConfig::default())
-}
-
-/// Like [`route_and_measure`], but with an explicit [`RouterConfig`] —
-/// for callers that need to pin thread count, iteration budget, or cost
-/// parameters (the eval runner threads its own config through here).
-pub fn route_and_measure_with(
-    design: &rdp_db::Design,
-    placement: &rdp_db::Placement,
-    config: RouterConfig,
-) -> CongestionMetrics {
-    GlobalRouter::new(config).route(design, placement).metrics
+    GlobalRouter::new(RouterConfig::default()).route(design, placement).metrics
 }

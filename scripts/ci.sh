@@ -6,14 +6,16 @@
 #   --full    also exercise the feature-gated targets: property-tests
 #             (larger randomized-test case counts), the bench binaries and
 #             the full chaos batch (two mid-batch server kills).
-#   --faults  also run the fault-injection resilience suite (rdp-core with
-#             the `fault-inject` feature; the 1/2/8-thread invariance sweep
-#             happens inside the tests themselves).
+#   --faults  also run every rdp-core test and clippy with the
+#             `fault-inject` feature (the default gate already runs the
+#             fault-injection resilience suite).
 #   --chaos   also run the full rdp-serve suite with the `chaos` feature
 #             (service-level fault injection against the job server).
 #
 # The default gate already includes the chaos *smoke* batch (one server
-# kill mid-batch): it is the acceptance bar for the serve layer.
+# kill mid-batch), the acceptance bar for the serve layer, and the
+# fault-injection resilience suite, which drives every rollback and
+# degrade branch of the placer's stage driver.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,6 +49,10 @@ run cargo run --release -p rdp-bench --bin bench_router -- --smoke
 # job must land terminal with placements bitwise identical to a serial
 # one-job-at-a-time run.
 run cargo test -p rdp-serve --features chaos -q --test chaos
+# Placer resilience under injected faults: NaN gradients, corrupt
+# congestion grids and blown budgets must each end in a legal placement
+# or a structured error, bitwise equal at 1/2/8 threads.
+run cargo test -p rdp-core --features fault-inject -q --test resilience
 
 if [[ "${1:-}" == "--chaos" ]]; then
   run cargo test -p rdp-serve --features chaos -q
